@@ -19,7 +19,16 @@ vectors:
   ``T_i`` that read a version below ``T_i`` would retroactively have read
   the wrong version.  Readers not yet ordered against ``T_i`` are ordered
   *below* it on the spot (another dynamic-encoding move unavailable to
-  scalar multiversion TO).
+  scalar multiversion TO).  Only the reads accepted since the chain's
+  tail was installed are classified: the tail's *validated prefix*
+  already sits below the tail writer, hence — by transitivity — below
+  ``T_i`` (``core/mvcc.py``; DESIGN.md §9 has the argument).
+
+Every per-transaction question the executor asks (retract my entries,
+whom did I read from, who read from me, which version did my read see)
+is answered from a per-transaction *chain index* — the items where the
+transaction holds, or ever held, a version or read record — so an abort
+or commit costs the chains it touched, not the table.
 
 The scheduler is now split per Bohm's prescription: the visibility
 engine (``core/mvcc.py``) makes pure logical-ordering decisions and the
@@ -81,6 +90,16 @@ class MultiversionMixin:
         #: per-item version chains (the T0 base version included) — the
         #: one representation shared with the storage layer.
         self._chains: dict[str, VersionChain] = {}
+        #: per-transaction chain index: ``txn -> {item: source}`` over
+        #: the items where *txn* installed a version or had a read
+        #: accepted; *source* is the version writer its latest accepted
+        #: read of the item saw (``None``: no live read record).  The
+        #: key sets are add-only — retraction clears the sources but
+        #: keeps the items, because records *sourced from* an aborted
+        #: writer outlive it and :meth:`readers_of` is asked for them
+        #: after :meth:`_abort` already retracted the writer.  Entries
+        #: die with the transaction's row (:meth:`reclaim_committed`).
+        self._chain_index: dict[int, dict[str, int | None]] = {}
         # Rebuilt every reset so the pure engine can never compare
         # against a stale table (the PR-1 ``reset()`` bug family: state
         # bound to a table the reset just threw away).  When the
@@ -125,6 +144,12 @@ class MultiversionMixin:
         if chain is None:
             chain = self._chains[item] = VersionChain()
         return chain
+
+    def _index_entry(self, txn: int) -> dict[str, int | None]:
+        entry = self._chain_index.get(txn)
+        if entry is None:
+            entry = self._chain_index[txn] = {}
+        return entry
 
     def _note_successor(self, j: int, i: int) -> None:
         """Record ``T_i`` ordered after ``T_j`` (the bookkeeping
@@ -178,6 +203,7 @@ class MultiversionMixin:
         elif resolution.fresh:
             self._note_successor(resolution.source, i)
         chain.record_read(i, resolution.source)
+        self._index_entry(i)[x] = resolution.source
         self.table.set_rt(x, self._note_reader(chain, i))
         self._record_access(op)
         reason = (
@@ -199,16 +225,29 @@ class MultiversionMixin:
                 return self._abort(op, blocking=writer)
         else:
             self._note_successor(placement.blocking, i)
-        for reader, source in list(chain.reads):
+        # The tail writer is now below T_i, and so is every reader in the
+        # tail's validated prefix: only the reads accepted since the tail
+        # was installed can constrain this write.
+        reads = chain.reads
+        classify = self.visibility.classify_reader
+        validated = len(reads)
+        for index in range(chain.versions[-1].validated, len(reads)):
+            reader, source = reads[index]
             if reader == i:
                 continue
-            check = self.visibility.classify_reader(reader, source, i)
+            check = classify(reader, source, i)
             if check is ReaderCheck.INVALIDATED:
                 return self._abort(op, blocking=reader)
             if check is ReaderCheck.PIN_BELOW:
                 if not self._set_less(reader, i, x).ok:  # pragma: no cover
                     return self._abort(op, blocking=reader)
-        chain.install(i)
+            elif check is ReaderCheck.SAFE:
+                # A SAFE reader sits *above* T_i: it is not below the
+                # next tail writer by transitivity, so the prefix must
+                # stop short of the first such record.
+                validated = min(validated, index)
+        chain.install(i).validated = validated
+        self._index_entry(i).setdefault(x, None)
         self.table.set_wt(x, i)
         self._record_access(op)
         return Decision(DecisionStatus.ACCEPT, op)
@@ -238,6 +277,37 @@ class MultiversionMixin:
         chain.rt_hint = rt
         return rt
 
+    def chains_of(self, txn: int) -> list[VersionChain]:
+        """The chains where *txn* holds — or, before a retraction, held —
+        a version or read record (a superset, from the chain index)."""
+        chains = self._chains
+        return [chains[item] for item in self._chain_index.get(txn, ())]
+
+    def _retract_chains(self, txn: int) -> int:
+        """Drop *txn*'s versions and read records from the chains it
+        touched; returns the number of entries dropped."""
+        entry = self._chain_index.get(txn)
+        if not entry:
+            return 0
+        chains = self._chains
+        removed = 0
+        for item in entry:
+            removed += chains[item].retract(txn)
+            entry[item] = None
+        return removed
+
+    def _abort(self, op: Operation, blocking: int) -> Decision:
+        decision = super()._abort(op, blocking)
+        if op.txn in self.partial_ok:
+            # Partial rollback kept the chain entries but re-seeded the
+            # vector they are ordered by; ``_successors`` only knows the
+            # orders a ``Set`` call established, not the ones the counter
+            # draws imply, so a validated prefix naming this transaction
+            # (as reader or as version writer) may no longer hold.
+            for chain in self.chains_of(op.txn):
+                chain.reset_validated()
+        return decision
+
     def _undo_indices(self, txn: int) -> None:
         """Aborting a transaction also retracts its versions and recorded
         reads — a lingering aborted version would be served to future
@@ -247,16 +317,13 @@ class MultiversionMixin:
         commit and cascade-restarting them here; ``write_policy=
         "deferred"`` rules the cascade out entirely, per VI-C 2.)"""
         super()._undo_indices(txn)
-        for chain in self._chains.values():
-            chain.retract(txn)
+        self._retract_chains(txn)
 
     def prune_aborted(self, txn: int) -> int:
         """Explicitly retract an aborted transaction's chain entries (the
         executor's restart/abort hook; idempotent with the automatic
         retraction in :meth:`_undo_indices`)."""
-        return sum(
-            chain.retract(txn) for chain in self._chains.values()
-        )
+        return self._retract_chains(txn)
 
     def cascade_restart(self, txn: int) -> None:
         """Roll back a transaction this scheduler never rejected (the
@@ -362,7 +429,14 @@ class MultiversionMixin:
         base row reclamation — the III-D-6a/b hook, now also bounding the
         version chains by the active-transaction low-watermark."""
         self.collect_chain_garbage()
-        return super().reclaim_committed(include_aborted)
+        reclaimed = super().reclaim_committed(include_aborted)
+        if reclaimed:
+            # A reclaimed row was outside the barrier — no chain names
+            # the transaction any more, so its index entry is dead.
+            known = set(self.table.known_txns())
+            for txn in [t for t in self._chain_index if t not in known]:
+                del self._chain_index[txn]
+        return reclaimed
 
     # ------------------------------------------------------------------
     # Oracle surface
@@ -383,11 +457,10 @@ class MultiversionMixin:
     def read_source(self, txn: int, item: str) -> int | None:
         """Which version (by writer id) the latest accepted read of *item*
         by *txn* saw — the hook the storage layer uses to serve the
-        matching value from a shared chain."""
-        for reader, source in reversed(self._chain(item).reads):
-            if reader == txn:
-                return source
-        return None
+        matching value from a shared chain.  ``None`` once the read was
+        retracted (or before any was accepted)."""
+        entry = self._chain_index.get(txn)
+        return None if entry is None else entry.get(item)
 
     def chains(self) -> dict[str, VersionChain]:
         """Live chain objects (shared with a bound storage layer)."""
@@ -407,9 +480,7 @@ class MultiversionMixin:
         sources commit (park released) or roll back (reader cascades)."""
         deps: set[int] = set()
         committed = self.committed
-        for chain in self._chains.values():
-            if not chain.touched(txn):
-                continue
+        for chain in self.chains_of(txn):
             for reader, source in chain.reads:
                 if (
                     reader == txn
@@ -427,9 +498,7 @@ class MultiversionMixin:
         uncommitted ones (committed ones cannot exist — they were gated
         on *txn* committing first)."""
         readers: set[int] = set()
-        for chain in self._chains.values():
-            if not chain.touched(txn):
-                continue
+        for chain in self.chains_of(txn):
             for reader, source in chain.reads:
                 if source == txn and reader != txn:
                     readers.add(reader)

@@ -10,7 +10,8 @@ physical installation, this module separates them:
   :class:`~repro.storage.backend.VersionedBackend`: versions oldest →
   newest (the virtual ``T_0`` owns the base version), each optionally
   carrying a value, plus the recorded ``(reader, source)`` pairs writes
-  must validate against.
+  must validate against and, per version, how many of those records are
+  already known to sit below its writer (the *validated prefix*).
 * :class:`VisibilityEngine` — **pure** decisions.  Given a comparison
   oracle over transaction ids it answers "which version does this vector
   see" (:meth:`resolve_read`), "may this write install"
@@ -43,13 +44,25 @@ so it can never land below it either.  Read records whose reader sits
 strictly below the watermark writer can never constrain a future write
 (transitivity through the watermark orders the reader below any
 installer), so both are reclaimed.
+
+The same transitivity bounds write validation.  ``ChainVersion.validated``
+counts the leading read records whose reader is the version's writer or
+is ordered strictly below it.  A new tail writer is first ordered above
+the old tail, so by Lemmas 1-2 (Definition 6's ``<`` is a strict partial
+order) those records are ``UNAFFECTED`` for it too and only the records
+past the boundary need :meth:`VisibilityEngine.classify_reader`.  ``0``
+means "assume nothing" and is always safe; every operation that drops
+read records re-bases the boundaries (:meth:`VersionChain.retract`) or
+zeroes them (:meth:`VersionChain.collect`,
+:meth:`VersionChain.reset_validated`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .table import VIRTUAL_TXN
 from .timestamp import Ordering
@@ -65,6 +78,10 @@ class ChainVersion:
 
     writer: int
     value: Any = NO_VALUE
+    #: validated prefix: every record in ``chain.reads[:validated]`` has
+    #: this writer as its reader or a reader ordered strictly below it.
+    #: Bookkeeping, not identity — two versions are equal by writer/value.
+    validated: int = field(default=0, compare=False, repr=False)
 
     def has_value(self) -> bool:
         return self.value is not NO_VALUE
@@ -79,7 +96,7 @@ class VersionChain:
     below the new writer first.
     """
 
-    __slots__ = ("versions", "reads", "_touched", "rt_hint")
+    __slots__ = ("versions", "reads", "rt_hint")
 
     def __init__(self, initial: Any = NO_VALUE) -> None:
         self.versions: list[ChainVersion] = [
@@ -92,13 +109,6 @@ class VersionChain:
         #: every recorded reader).  ``None`` = recompute on next read;
         #: invalidated whenever read records are dropped.
         self.rt_hint: int | None = None
-        #: superset of every transaction appearing in ``versions`` or
-        #: ``reads`` (writer, reader, or read source) — the O(1) guard
-        #: that lets :meth:`retract` and the scheduler's dependency scans
-        #: skip chains a transaction never touched.  Add-only between
-        #: collections (a retract may leave the id behind as a read
-        #: source, so removal is unsafe); :meth:`collect` rebuilds it.
-        self._touched: set[int] = {VIRTUAL_TXN}
 
     # ------------------------------------------------------------------
     @property
@@ -126,7 +136,10 @@ class VersionChain:
     # ------------------------------------------------------------------
     def install(self, writer: int, value: Any = NO_VALUE) -> ChainVersion:
         """Append a version (a repeat write refreshes the newest in
-        place — one version per writer, matching the paper's model)."""
+        place — one version per writer, matching the paper's model).
+        A fresh version starts with the always-safe validated prefix 0;
+        an installer that validated the recorded reads sets it on the
+        returned version."""
         last = self.versions[-1]
         if last.writer == writer:
             if value is not NO_VALUE:
@@ -134,24 +147,25 @@ class VersionChain:
             return last
         version = ChainVersion(writer, value)
         self.versions.append(version)
-        self._touched.add(writer)
         return version
 
     def record_read(self, reader: int, source: int) -> None:
         self.reads.append((reader, source))
-        self._touched.add(reader)
-        self._touched.add(source)
 
-    def touched(self, txn: int) -> bool:
-        """May *txn* appear anywhere in this chain?  ``False`` is exact
-        (the chain never saw it); ``True`` may be stale between GCs."""
-        return txn in self._touched
+    def reset_validated(self) -> None:
+        """Forget every validated prefix: the next write re-classifies
+        all recorded reads.  For callers that moved a vector the chain
+        references without retracting its entries."""
+        for version in self.versions:
+            version.validated = 0
 
     def retract(self, txn: int) -> int:
         """Remove an aborted transaction's version and read records.
-        Returns the number of entries dropped."""
-        if txn not in self._touched:
-            return 0
+        Returns the number of entries dropped.
+
+        A retracted tail falls back to its predecessor (boundary
+        included — it travels with the version); dropped read records
+        shift every later boundary down by the records lost below it."""
         removed = 0
         if any(version.writer == txn for version in self.versions):
             self.versions = [
@@ -162,12 +176,18 @@ class VersionChain:
                 # chain always serves *something* (the initial version).
                 self.versions = [ChainVersion(VIRTUAL_TXN)]
             removed += 1
-        if any(reader == txn for reader, _ in self.reads):
-            before = len(self.reads)
+        dropped = [
+            index
+            for index, (reader, _) in enumerate(self.reads)
+            if reader == txn
+        ]
+        if dropped:
             self.reads = [
                 entry for entry in self.reads if entry[0] != txn
             ]
-            removed += before - len(self.reads)
+            removed += len(dropped)
+            for version in self.versions:
+                version.validated -= bisect_left(dropped, version.validated)
             if self.rt_hint == txn:
                 self.rt_hint = None
         return removed
@@ -245,14 +265,9 @@ class VersionChain:
             if reads_reclaimed:
                 self.reads = keep
                 self.rt_hint = None
-        if versions_reclaimed or reads_reclaimed:
-            # The add-only touched index can only be shrunk here, where
-            # the chain's true contents are being recomputed anyway.
-            self._touched = {VIRTUAL_TXN}
-            self._touched.update(v.writer for v in self.versions)
-            for reader, source in self.reads:
-                self._touched.add(reader)
-                self._touched.add(source)
+                # Collection is rare; re-basing every boundary over the
+                # reclaimed records buys nothing over one full rescan.
+                self.reset_validated()
         return versions_reclaimed, reads_reclaimed
 
     def referenced_txns(self) -> set[int]:
@@ -314,11 +329,10 @@ class VisibilityEngine:
     ``ordering_of(a, b)`` must return the Definition 6
     :class:`~repro.core.timestamp.Ordering` of ``TS(a)`` vs ``TS(b)``
     *without* side effects; the engine itself never mutates anything —
-    required orderings come back as explicit pins.  That makes every
-    method safe to evaluate against a shipped chain snapshot on a remote
-    shard: decentralized visibility needs no cross-shard critical
-    section, only the (immutable-under-the-window) rows the claim set
-    already ships.
+    required orderings come back as explicit pins.  An item's chain
+    lives on the shard that owns the item, so decentralized visibility
+    needs no cross-shard critical section, only the
+    (immutable-under-the-window) rows the claim set already ships.
     """
 
     __slots__ = ("_ordering_of", "_committed_of")
@@ -441,30 +455,3 @@ class VisibilityEngine:
             if self._ordering_of(earlier, later) is not Ordering.LESS:
                 return False
         return True
-
-
-def snapshot_chains(
-    chains: dict[str, VersionChain]
-) -> dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-    """Wire-friendly chain snapshots: ``{item: (writers, reads)}`` — what
-    the parallel plane ships so a shard decides visibility locally."""
-    return {
-        item: (tuple(chain.writers()), tuple(chain.reads))
-        for item, chain in chains.items()
-    }
-
-
-def restore_chains(
-    snapshot: Iterable[tuple[str, tuple[Iterable[int], Iterable[tuple[int, int]]]]]
-) -> dict[str, VersionChain]:
-    """Inverse of :func:`snapshot_chains` (values are not shipped —
-    the scheduler plane orders versions; storage stays local)."""
-    chains: dict[str, VersionChain] = {}
-    for item, (writers, reads) in snapshot:
-        chain = VersionChain()
-        for writer in writers:
-            if writer != VIRTUAL_TXN:
-                chain.install(writer)
-        chain.reads = [(reader, source) for reader, source in reads]
-        chains[item] = chain
-    return chains

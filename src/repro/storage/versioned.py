@@ -149,9 +149,15 @@ class MultiversionStore:
     def prune_aborted(self, txn: int) -> int:
         """Drop an aborted transaction's versions (VI-C 2c: cheap
         pruning) — and its recorded reads when the chains are shared with
-        a scheduler.  Returns the number of versions removed."""
+        a scheduler, whose chain index then names the chains to visit
+        (a bound store carries values on versions the scheduler
+        installed).  Returns the number of versions removed."""
         removed = 0
-        for chain in self._chains.values():
+        if self._scheduler is not None:
+            chains = self._scheduler.chains_of(txn)
+        else:
+            chains = self._chains.values()
+        for chain in chains:
             before = len(chain.versions)
             chain.retract(txn)
             removed += before - len(chain.versions)

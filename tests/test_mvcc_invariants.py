@@ -11,20 +11,29 @@ Property suite over the multiversion storage/visibility split:
 * the executor's abort path leaves no aborted writer in any chain even
   under an abort storm (the ``prune_aborted`` hook), and
 * the commit-dependency gate: dirty readers park, commit when their
-  source commits, cascade when it rolls back.
+  source commits, cascade when it rolls back,
+* the validated prefix: every read record below a version's boundary
+  has a reader ordered below that version's writer, whatever aborts,
+  restarts, commits and collections happened in between, and
+* bounded write validation decides exactly what the replaced full scan
+  decided (differential test against a test-local reference scheduler).
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.multiversion import MVMTkScheduler
-from repro.core.mvcc import VisibilityEngine
+import repro.core.multiversion as multiversion
+from repro.core.multiversion import MVDMTkScheduler, MVMTkScheduler
+from repro.core.mvcc import ReaderCheck, VersionChain, VisibilityEngine
 from repro.core.table import VIRTUAL_TXN
+from repro.core.timestamp import Ordering
 from repro.model.generator import WorkloadSpec, generate_transactions, random_log
 from repro.model.log import Log
+from repro.model.operations import Operation, OpKind
 from tests.conftest import small_logs
 
 
@@ -63,6 +72,402 @@ class TestChainTotalOrdering:
         scheduler.run(log, stop_on_reject=True)
         for chain in scheduler.chains().values():
             assert scheduler.visibility.chain_is_ordered(chain)
+
+
+def _prefix_violations(scheduler: MVMTkScheduler) -> list[tuple]:
+    """Records inside a validated prefix whose reader is neither the
+    version's writer nor ordered strictly below it."""
+    bad = []
+    for item, chain in scheduler.chains().items():
+        for version in chain.versions:
+            assert 0 <= version.validated <= len(chain.reads)
+            for reader, source in chain.reads[: version.validated]:
+                if reader == version.writer:
+                    continue
+                if scheduler._ordering_of(reader, version.writer) is not Ordering.LESS:
+                    bad.append((item, version.writer, reader, source))
+    return bad
+
+
+class TestValidatedPrefix:
+    @given(
+        small_logs(max_txns=5, max_ops=5),
+        st.integers(min_value=2, max_value=4),
+        st.booleans(),
+        st.sampled_from(["plain", "anti_starvation", "partial_rollback"]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_readers_sit_below_the_version_writer(
+        self, log, k, commit_aware, mode, rng
+    ):
+        """After every operation — accepted or rejected, with restarts,
+        commits and grace-1 collections interleaved — each record in
+        ``reads[:v.validated]`` has ``reader == v.writer`` or
+        ``TS(reader) < TS(v.writer)``, and chains stay totally ordered."""
+        scheduler = MVMTkScheduler(
+            k,
+            commit_aware=commit_aware,
+            anti_starvation=mode == "anti_starvation",
+            partial_rollback=mode == "partial_rollback",
+        )
+        remaining = {
+            txn: program.num_operations
+            for txn, program in log.transactions.items()
+        }
+        for op in log:
+            scheduler.process(op)
+            assert not _prefix_violations(scheduler), op
+            if op.txn in scheduler.aborted:
+                # Same id, fresh attempt: the flush (or the re-seed kept
+                # by a partial rollback) must not strand a stale prefix.
+                scheduler.restart(op.txn)
+                assert not _prefix_violations(scheduler), op
+            remaining[op.txn] -= 1
+            if remaining[op.txn] == 0 and rng.random() < 0.7:
+                scheduler.commit(op.txn)
+            if rng.random() < 0.2:
+                scheduler.collect_chain_garbage(grace=1)
+                assert not _prefix_violations(scheduler), op
+        for chain in scheduler.chains().values():
+            assert scheduler.visibility.chain_is_ordered(chain)
+
+    def test_tail_retract_falls_back_to_predecessor_boundary(self):
+        chain = VersionChain()
+        chain.record_read(5, VIRTUAL_TXN)
+        chain.install(1).validated = 1
+        chain.record_read(6, 1)
+        chain.install(2).validated = 2
+        assert chain.versions[-1].validated == 2
+        assert chain.retract(2) == 1
+        assert chain.newest == 1
+        assert chain.versions[-1].validated == 1
+        # ... and all the way down to the base version's "assume nothing".
+        chain.retract(1)
+        assert chain.newest == VIRTUAL_TXN
+        assert chain.versions[-1].validated == 0
+
+    def test_retracting_a_reader_shifts_later_boundaries(self):
+        chain = VersionChain()
+        for reader in (5, 6, 7):
+            chain.record_read(reader, VIRTUAL_TXN)
+        chain.install(1).validated = 1  # covers (5, 0)
+        chain.install(2).validated = 3  # covers all three
+        assert chain.retract(6) == 1
+        assert chain.reads == [(5, 0), (7, 0)]
+        assert [v.validated for v in chain.versions] == [0, 1, 2]
+        assert chain.retract(5) == 1
+        assert [v.validated for v in chain.versions] == [0, 0, 1]
+        # A reader holding several records drops them all at once.
+        chain.record_read(7, 2)
+        chain.versions[-1].validated = 2
+        assert chain.retract(7) == 2
+        assert chain.reads == []
+        assert [v.validated for v in chain.versions] == [0, 0, 0]
+
+    def test_gc_that_reclaims_reads_resets_boundaries(self):
+        def collect(chain):
+            return chain.collect(
+                committed=lambda txn: True,
+                settled=lambda txn: True,
+                strictly_below=lambda a, b: a < b,
+            )
+
+        chain = VersionChain()
+        chain.record_read(1, VIRTUAL_TXN)
+        chain.install(2).validated = 1
+        chain.record_read(3, 2)
+        chain.install(4).validated = 2
+        assert collect(chain) == (2, 2)
+        assert chain.writers() == [4] and chain.reads == []
+        assert chain.versions[0].validated == 0
+
+        # Versions alone going away leaves the surviving boundary valid:
+        # it indexes read records, and none moved.
+        chain = VersionChain()
+        chain.record_read(9, VIRTUAL_TXN)
+        chain.install(2)
+        chain.install(4).validated = 1
+        assert collect(chain) == (2, 0)
+        assert chain.versions[0].validated == 1
+
+    def test_safe_verdict_blocks_boundary_advance(self):
+        """A SAFE reader sits *above* the installing writer, so the next
+        tail writer is not above it by transitivity: the prefix stops
+        short of the record and the next write classifies it again."""
+        scheduler = MVMTkScheduler(2)
+        # T1 < T2 and T1 < T3; (2, 3) is a read whose source T3 was since
+        # retracted from the chain — the only way a source can sit above
+        # an installing tail writer.
+        assert scheduler._set_less(1, 2, None).ok
+        assert scheduler._set_less(1, 3, None).ok
+        chain = scheduler._chain("x")
+        chain.record_read(2, 3)
+        assert (
+            scheduler.visibility.classify_reader(2, 3, 1) is ReaderCheck.SAFE
+        )
+        assert scheduler.process(Operation(OpKind.WRITE, 1, "x")).accepted
+        assert chain.newest == 1
+        assert chain.versions[-1].validated == 0
+        # An UNAFFECTED record after it does not lift the boundary over
+        # the SAFE one on a repeat write either.
+        assert scheduler._set_less(4, 1, None).ok
+        chain.record_read(4, VIRTUAL_TXN)
+        assert scheduler.process(Operation(OpKind.WRITE, 1, "x")).accepted
+        assert chain.versions[-1].validated == 0
+
+    def test_unaffected_and_pinned_readers_advance_the_boundary(self):
+        scheduler = MVMTkScheduler(2)
+        for op in Log.parse("R1[x] R2[x] W3[x] R4[x] W5[x]"):
+            assert scheduler.process(op).accepted
+        chain = scheduler.chains()["x"]
+        assert chain.writers() == [VIRTUAL_TXN, 3, 5]
+        assert [v.validated for v in chain.versions] == [0, 2, 3]
+        assert not _prefix_violations(scheduler)
+
+
+class TestChainIndex:
+    def test_readers_of_survives_the_sources_own_abort(self):
+        """The executor asks ``readers_of(t)`` *after* the scheduler's
+        ``_abort`` retracted ``t`` — records sourced from ``t`` outlive
+        it, so the index must still lead to them (popping the entry at
+        retraction silently lost every cascade)."""
+        scheduler = MVMTkScheduler(2)
+        for op in Log.parse("W1[z] R2[z] R2[y]"):
+            assert scheduler.process(op).accepted
+        assert scheduler.readers_of(1) == {2}
+        # T2 read y below T1's write while ordered above T1: invalidated.
+        assert not scheduler.process(Operation(OpKind.WRITE, 1, "y")).accepted
+        assert 1 in scheduler.aborted
+        assert scheduler.version_chain("z") == [VIRTUAL_TXN]
+        assert scheduler.readers_of(1) == {2}
+        assert scheduler.commit_dependencies(2) == {1}
+        # ... and through the explicit prune and the restart as well.
+        scheduler.prune_aborted(1)
+        scheduler.restart(1)
+        assert scheduler.readers_of(1) == {2}
+        # The cascade retracts the dirty reader; nothing dangles.
+        scheduler.cascade_restart(2)
+        assert scheduler.readers_of(1) == set()
+        assert scheduler.commit_dependencies(2) == set()
+        assert scheduler.reads_from() == []
+
+    def test_read_source_is_dropped_on_retraction(self):
+        scheduler = MVMTkScheduler(2)
+        for op in Log.parse("W1[x] R2[x] W2[x] R2[y]"):
+            assert scheduler.process(op).accepted
+        # The write did not clobber the read's source.
+        assert scheduler.read_source(2, "x") == 1
+        assert scheduler.read_source(2, "y") == VIRTUAL_TXN
+        assert scheduler.read_source(2, "z") is None
+        assert scheduler.read_source(3, "x") is None
+        assert scheduler.prune_aborted(2) == 3
+        assert scheduler.read_source(2, "x") is None
+        assert scheduler.read_source(2, "y") is None
+        assert scheduler.prune_aborted(2) == 0  # idempotent
+
+    def test_reclaimed_rows_leave_the_index(self):
+        scheduler = MVMTkScheduler(2)
+        for op in Log.parse("W1[x] W2[x] W3[x]"):
+            assert scheduler.process(op).accepted
+        for txn in (1, 2, 3):
+            scheduler.commit(txn)
+        assert scheduler.reclaim_committed() >= 1
+        assert scheduler.version_chain("x") == [3]
+        assert set(scheduler._chain_index) <= set(scheduler.table.known_txns())
+        assert 3 in scheduler._chain_index
+
+
+# ----------------------------------------------------------------------
+# Differential: bounded validation vs the full scan it replaced
+# ----------------------------------------------------------------------
+_DECISIONS: list[tuple] = []
+
+
+class _Recording:
+    def _observe(self, decision):
+        _DECISIONS.append((decision.status, decision.op, decision.reason))
+        super()._observe(decision)
+
+
+class _FullScan:
+    """The replaced algorithm: forget the tail's validated prefix before
+    every write, so every recorded read is classified again."""
+
+    def _process_write(self, op):
+        self._chain(op.item).versions[-1].validated = 0
+        return super()._process_write(op)
+
+
+class _Subject(_Recording, MVMTkScheduler):
+    pass
+
+
+class _SubjectDMT(_Recording, MVDMTkScheduler):
+    pass
+
+
+class _Reference(_Recording, _FullScan, MVMTkScheduler):
+    pass
+
+
+class _ReferenceDMT(_Recording, _FullScan, MVDMTkScheduler):
+    pass
+
+
+_STREAMS = {
+    "rw3": (
+        WorkloadSpec(
+            num_txns=120, ops_per_txn=3, num_items=64, write_ratio=0.5,
+            skew=1.1,
+        ),
+        0.3,
+    ),
+    "readmostly6": (
+        WorkloadSpec(
+            num_txns=120, ops_per_txn=6, num_items=48, write_ratio=0.2,
+            skew=1.1,
+        ),
+        0.3,
+    ),
+}
+_SERVICES = {
+    "shards1": dict(n_shards=1),
+    "shards4": dict(n_shards=4),
+    "shards4-windowed": dict(n_shards=4, parallel=0, window=8),
+}
+
+
+class TestBoundedValidationMatchesFullScan:
+    @pytest.fixture
+    def classify_calls(self, monkeypatch):
+        calls = [0]
+        original = VisibilityEngine.classify_reader
+
+        def counting(engine, reader, source, writer):
+            calls[0] += 1
+            return original(engine, reader, source, writer)
+
+        monkeypatch.setattr(VisibilityEngine, "classify_reader", counting)
+        return calls
+
+    def _surface(self, monkeypatch, classes, calls, spec, load, seed, service):
+        from repro.engine.pipeline.sessions import TransactionService
+
+        # ShardSet and ShardEngine import the scheduler classes from the
+        # module at construction time, so the swap reaches every plane.
+        monkeypatch.setattr(multiversion, "MVMTkScheduler", classes[0])
+        monkeypatch.setattr(multiversion, "MVDMTkScheduler", classes[1])
+        _DECISIONS.clear()
+        calls[0] = 0
+        txns = generate_transactions(spec, random.Random(seed))
+        rng = random.Random(seed)
+        clock, arrivals = 0.0, {}
+        for txn in txns:
+            clock += rng.expovariate(load / spec.ops_per_txn)
+            arrivals[txn.txn_id] = int(clock)
+        with TransactionService(
+            k=3, protocol="mvmt", anti_starvation=True, max_attempts=100,
+            **service,
+        ) as svc:
+            svc.submit_programs(txns)
+            report = svc.run(seed=seed, arrivals=arrivals)
+            scheduler = svc.scheduler
+            stats = svc.executor.stats
+            surface = dict(
+                decisions=list(_DECISIONS),
+                aborted=set(scheduler.aborted),
+                reads_from=sorted(scheduler.reads_from()),
+                chains={
+                    item: scheduler.version_chain(item)
+                    for item in sorted(scheduler.chains())
+                },
+                vectors=scheduler.table.snapshot(),
+                report=(
+                    sorted(report.committed), sorted(report.failed),
+                    report.restarts, report.ops_executed,
+                    report.ops_reexecuted, report.undo_count,
+                    report.ignored_writes, list(report.committed_ops),
+                ),
+                stats={
+                    name: stats.get(name, 0)
+                    for name in (
+                        "aborts", "commit_parks", "cascade_restarts",
+                        "dependency_cycle_restarts",
+                    )
+                },
+            )
+        return surface, calls[0]
+
+    @pytest.mark.parametrize("service", sorted(_SERVICES))
+    @pytest.mark.parametrize("stream", sorted(_STREAMS))
+    def test_identical_decisions_fewer_classifications(
+        self, monkeypatch, classify_calls, stream, service
+    ):
+        spec, load = _STREAMS[stream]
+        parks = cascades = 0
+        for seed in range(8):
+            got, bounded = self._surface(
+                monkeypatch, (_Subject, _SubjectDMT), classify_calls,
+                spec, load, seed, _SERVICES[service],
+            )
+            want, full = self._surface(
+                monkeypatch, (_Reference, _ReferenceDMT), classify_calls,
+                spec, load, seed, _SERVICES[service],
+            )
+            for name in want:
+                assert got[name] == want[name], (stream, service, seed, name)
+            assert got["decisions"], "the recording subclass was not used"
+            assert bounded < full, (stream, service, seed, bounded, full)
+            parks += got["stats"]["commit_parks"]
+            cascades += got["stats"]["cascade_restarts"]
+        if stream == "readmostly6":
+            # The read-mostly stream is there for the park/cascade paths
+            # (readers_of / commit_dependencies through the chain index).
+            assert parks > 0 and cascades > 0
+
+    @pytest.mark.parametrize("anti_starvation", [False, True])
+    def test_partial_rollback_matches_full_scan(self, anti_starvation):
+        """A partial rollback re-seeds a vector whose chain entries stay
+        in place; without the boundary reset in ``_abort`` one stream in
+        four diverged from the full scan here."""
+        from repro.engine.pipeline import PipelineExecutor
+
+        spec = WorkloadSpec(
+            num_txns=40, ops_per_txn=4, num_items=8, write_ratio=0.5,
+            skew=1.1,
+        )
+        partials = 0
+        for seed in range(12):
+            surfaces = []
+            for cls in (_Subject, _Reference):
+                _DECISIONS.clear()
+                scheduler = cls(
+                    3, partial_rollback=True, commit_aware=True,
+                    anti_starvation=anti_starvation,
+                )
+                executor = PipelineExecutor(
+                    scheduler, max_attempts=50, rollback="partial"
+                )
+                report = executor.execute(
+                    generate_transactions(spec, random.Random(seed)),
+                    seed=seed,
+                )
+                executor.close()
+                surfaces.append(
+                    (
+                        list(_DECISIONS), sorted(report.committed),
+                        report.restarts, scheduler.table.snapshot(),
+                        sorted(scheduler.reads_from()),
+                    )
+                )
+            assert surfaces[0] == surfaces[1], seed
+            partials += sum(
+                1
+                for event in scheduler.events.events("abort")
+                if event.detail.get("partial")
+            )
+        assert partials > 0  # the preserved-effects path actually ran
 
 
 class TestResetThenReplay:

@@ -163,3 +163,26 @@ class TestMultiversionStore:
         store.write("x", 2, "b")
         assert store.prune_aborted(2) == 1
         assert len(store.versions_of("x")) == 1
+
+    def test_bound_store_serves_and_prunes_through_the_scheduler(self):
+        """Bound to a multiversion scheduler the store shares its chains:
+        reads come from the version ``read_source`` pinned, and pruning
+        visits the chains the scheduler's index names for the
+        transaction, not the whole store."""
+        from repro.core.multiversion import MVMTkScheduler
+
+        scheduler = MVMTkScheduler(2)
+        store = MultiversionStore.bound_to(scheduler)
+        for op in Log.parse("W1[x] W2[y] R3[x] R3[y] W3[z]"):
+            assert scheduler.process(op).accepted
+            if op.kind.is_write:
+                store.write(op.item, op.txn, f"{op.item}-from-t{op.txn}")
+        assert store.read("x", 3) == "x-from-t1"
+        assert store.read("y", 3) == "y-from-t2"
+        assert [chain.newest for chain in scheduler.chains_of(3)] == [1, 2, 3]
+        assert store.prune_aborted(3) == 1  # its z version; reads go too
+        assert scheduler.reads_from() == []
+        assert store.versions_of("z") == []
+        assert len(store.versions_of("x")) == 1  # untouched
+        assert store.prune_aborted(3) == 0
+        assert store.prune_aborted(9) == 0  # never seen
