@@ -3,13 +3,14 @@
 Not a paper claim: this pins the observability subsystem end to end.  The
 ``python -m repro bench`` scenario family runs in quick mode through the
 metrics registry and the executor, the consolidated payload validates
-against the ``repro-bench/v1`` schema, and the cross-check that makes the
+against the current ``SCHEMA``, and the cross-check that makes the
 registry trustworthy holds on every scenario: decisions counted by the
 ``Instrumented`` hook reconcile with the work the executor reports.
 """
 
 from repro.obs.bench import (
     REQUIRED_RESULT_KEYS,
+    SCHEMA,
     run_scenario,
     scenarios,
     validate_payload,
@@ -23,7 +24,7 @@ def run_quick_payload():
         name: run_scenario(scenario, quick=True)
         for name, scenario in sorted(scenarios().items())
     }
-    return {"schema": "repro-bench/v1", "quick": True, "scenarios": results}
+    return {"schema": SCHEMA, "quick": True, "scenarios": results}
 
 
 def test_bench_runner_schema(benchmark):

@@ -18,14 +18,6 @@ outcomes against the paper's (empirically verified) class hierarchy:
   correctness is view-level, not conflict-level (``mv-view``);
 * MT(k) decisions must be bit-identical with the Definition 6 comparison
   cache disabled (``cache-equivalence``, the hot-path guard);
-* the vectorized batch decision core must be invisible in outcomes
-  (``vectorized-equivalence``): MT(3) and DMT(2) runs with
-  ``decision_core="numpy"`` match the pure-Python runs decision for
-  decision, the core's all-pairs batch over the final vectors matches
-  the sequential scans comparison for comparison, and an executor run
-  (which speculatively *primes* the core with admission windows) yields
-  a bit-for-bit identical report.  Skipped when numpy is absent — the
-  pure-Python fallback is then the only path and trivially equivalent;
 * end-to-end executor runs (immediate/deferred writes, full/partial
   rollback, anti-starvation, optimistic validation) must commit a DSR
   projection with disjoint committed/failed sets (``executor-dsr``,
@@ -85,14 +77,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from ..core.batch import HAVE_NUMPY
 from ..core.composite import MTkStarScheduler
 from ..core.distributed import DMTkScheduler
 from ..core.mtk import MTkScheduler
 from ..core.multiversion import MVMTkScheduler
 from ..core.protocol import Scheduler
 from ..core.table import OptimizedEncoding
-from ..core.timestamp import compare
 from ..engine.executor import TransactionExecutor
 from ..engine.pipeline import TransactionService
 from ..engine.optimistic import OptimisticScheduler
@@ -169,7 +159,6 @@ def check_case(
     oracle: SerializabilityOracle | None = None,
     run_executor: bool = True,
     check_cache: bool = True,
-    check_vectorized: bool = True,
     check_parallel: bool = False,
     check_recovery: bool = False,
     check_mvcc: bool = False,
@@ -253,9 +242,6 @@ def check_case(
                 )
             )
 
-    if check_vectorized:
-        violations.extend(vectorized_violations(log))
-
     if run_executor:
         violations.extend(executor_violations(log, oracle))
         if shards:
@@ -266,105 +252,6 @@ def check_case(
         violations.extend(recovery_violations(log, oracle, shards=shards))
     if check_mvcc and shards:
         violations.extend(mvcc_violations(log, shards=shards))
-    return violations
-
-
-def vectorized_violations(log: Log) -> list[Violation]:
-    """``vectorized-equivalence``: the numpy batch decision core must be
-    invisible in outcomes.  Three layers per case:
-
-    * decision level — MT(3) and DMT(2) runs with ``decision_core="numpy"``
-      produce the same decision statuses and aborted sets as the
-      pure-Python schedulers;
-    * comparison level — the core's all-pairs batch over the run's final
-      vectors (site-tagged k-th column included, for DMT) equals the
-      sequential Definition 6 scans comparison for comparison;
-    * executor level — an MT(2) executor run with the numpy core, which
-      speculatively *primes* the core with admission windows and must
-      survive aborts and restarts invalidating primed entries, yields a
-      bit-for-bit identical report to the pure-Python executor.
-
-    Returns ``[]`` unconditionally when numpy is absent: the pure-Python
-    fallback is then the only path and trivially equivalent.
-    """
-    if not HAVE_NUMPY:
-        return []
-    violations: list[Violation] = []
-    text = str(log)
-    for name, factory in (
-        ("mt3", lambda core: MTkScheduler(3, decision_core=core)),
-        ("dmt2", lambda core: DMTkScheduler(2, decision_core=core)),
-    ):
-        base = factory("python").run(log)
-        scheduler = factory("numpy")
-        vectored = scheduler.run(log)
-        same_statuses = [d.status for d in base.decisions] == [
-            d.status for d in vectored.decisions
-        ]
-        if not same_statuses or base.aborted != vectored.aborted:
-            violations.append(
-                Violation(
-                    "vectorized-equivalence",
-                    text,
-                    f"{name} decisions differ between decision_core="
-                    "'python' and 'numpy'",
-                )
-            )
-            continue
-        core = scheduler.table.batch_core
-        if core is None:  # pragma: no cover - HAVE_NUMPY checked above
-            continue
-        txns = scheduler.table.known_txns()
-        pairs = [
-            (a, b) for a_pos, a in enumerate(txns) for b in txns[a_pos + 1 :]
-        ]
-        table = scheduler.table
-        for (a, b), got in zip(pairs, core.compare_pairs(pairs)):
-            want = compare(table.vector(a), table.vector(b))
-            if got != want:
-                violations.append(
-                    Violation(
-                        "vectorized-equivalence",
-                        text,
-                        f"{name} batch core compared ({a}, {b}) as {got!r}, "
-                        f"sequential scan says {want!r}",
-                    )
-                )
-                break
-
-    transactions = list(log.transactions.values())
-    if transactions:
-        legacy = TransactionExecutor(MTkScheduler(2)).execute(
-            transactions, schedule=log
-        )
-        primed = TransactionExecutor(
-            MTkScheduler(2, decision_core="numpy")
-        ).execute(transactions, schedule=log)
-        mismatches = [
-            fname
-            for fname, got, want in (
-                ("committed", primed.committed, legacy.committed),
-                ("failed", primed.failed, legacy.failed),
-                ("restarts", primed.restarts, legacy.restarts),
-                ("ops_executed", primed.ops_executed, legacy.ops_executed),
-                (
-                    "ops_reexecuted",
-                    primed.ops_reexecuted,
-                    legacy.ops_reexecuted,
-                ),
-                ("committed_ops", primed.committed_ops, legacy.committed_ops),
-            )
-            if got != want
-        ]
-        if mismatches:
-            violations.append(
-                Violation(
-                    "vectorized-equivalence",
-                    text,
-                    "primed MT(2) executor diverged from the pure-Python "
-                    f"executor in: {', '.join(mismatches)}",
-                )
-            )
     return violations
 
 

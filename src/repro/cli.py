@@ -11,12 +11,10 @@ Commands
     Run the Fig. 4 region census over small two-step systems.
 ``protocols``
     List the available protocols and their options.
-``bench [--quick] [--scenario NAME ...] [--out PATH] [--jobs N] [--profile]
-[--decision-core python|numpy]``
+``bench [--quick] [--scenario NAME ...] [--out PATH] [--jobs N] [--profile]``
     Run the consolidated benchmark scenarios and write ``BENCH_repro.json``;
     ``--jobs`` fans scenario×seed cells over a process pool, ``--profile``
-    attaches cProfile hotspot breakdowns, ``--decision-core numpy`` routes
-    MT(k)-family decisions through the vectorized batch core.
+    attaches cProfile hotspot breakdowns.
 ``check [--exhaustive N Q M | --fuzz N --seed S] [--json] [--out PATH]``
     Conformance oracle: exhaustively sweep every log of a small scope, or
     differentially fuzz all schedulers against the class hierarchy and
@@ -159,7 +157,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             out=args.out,
             jobs=args.jobs,
             profile=args.profile,
-            decision_core=args.decision_core,
             parallel=args.parallel,
             window=args.window,
             transport=args.transport,
@@ -183,21 +180,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         render_table(
             ["scenario", "txn/s", "aborts", "restarts", "visits", "wall_ms"],
             rows,
-            title=(
-                f"bench ({'quick' if args.quick else 'full'} mode, "
-                f"decision core: {args.decision_core})"
-            ),
+            title=f"bench ({'quick' if args.quick else 'full'} mode)",
         )
     )
-    microbench = payload.get("decision_core_bench")
-    if microbench is not None:
-        print(
-            f"decision-core microbench: {microbench['pairs']} pairs "
-            f"(n={microbench['n_txns']}, k={microbench['k']}) — "
-            f"python {microbench['python_ms']}ms, "
-            f"numpy {microbench['numpy_ms']}ms, "
-            f"{microbench['speedup']}x"
-        )
     if args.profile:
         for name in sorted(payload["scenarios"]):
             hotspots = payload["scenarios"][name].get("profile", [])
@@ -365,14 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="attach per-scenario cProfile hotspot breakdowns to the JSON",
-    )
-    p_bench.add_argument(
-        "--decision-core",
-        choices=("python", "numpy"),
-        default="python",
-        help="Definition 6 decision path for MT(k)-family scenarios "
-        "(numpy = vectorized batch core; falls back to python when "
-        "numpy is absent)",
     )
     p_bench.add_argument(
         "--parallel",

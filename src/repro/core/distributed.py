@@ -94,7 +94,6 @@ class DMTkScheduler(MTkScheduler):
         clock_skews: list[int] | None = None,
         read_rule: str = "line9",
         trace: bool = False,
-        decision_core: str = "python",
         anti_starvation: bool = False,
     ) -> None:
         if num_sites < 1:
@@ -120,7 +119,6 @@ class DMTkScheduler(MTkScheduler):
             k,
             read_rule=read_rule,
             trace=trace,
-            decision_core=decision_core,
             anti_starvation=anti_starvation,
         )
         self.name = f"DMT({k})x{num_sites}"

@@ -65,26 +65,16 @@ class MTkScheduler(Instrumented, Scheduler):
         counters: Counters | None = None,
         trace: bool = False,
         compare_cache: int = DEFAULT_COMPARE_CACHE,
-        decision_core: str = "python",
     ) -> None:
         if k < 1:
             raise ValueError("vector size k must be at least 1")
         if read_rule not in self.READ_RULES:
             raise ValueError(f"read_rule must be one of {self.READ_RULES}")
-        if decision_core not in TimestampTable.DECISION_CORES:
-            raise ValueError(
-                f"decision_core must be one of {TimestampTable.DECISION_CORES}"
-            )
         self.k = k
         #: bound of the table's Definition 6 comparison cache; 0 disables
         #: it (decisions are identical either way — see the decision-
         #: equivalence property test).
         self.compare_cache = compare_cache
-        #: "numpy" routes Definition 6 batches through the vectorized
-        #: core (repro.core.batch); decisions are bit-identical either
-        #: way — see the vectorized-equivalence fuzz rule.  Read at
-        #: reset() time, so it may be flipped before a run.
-        self.decision_core = decision_core
         self.read_rule = read_rule
         self.thomas_write_rule = thomas_write_rule
         self.anti_starvation = anti_starvation
@@ -130,7 +120,6 @@ class MTkScheduler(Instrumented, Scheduler):
             counters=counters,
             encoding=self._encoding,
             cache_size=self.compare_cache,
-            decision_core=self.decision_core,
         )
         self.aborted: set[int] = set()
         self.committed: set[int] = set()
@@ -450,22 +439,6 @@ class MTkScheduler(Instrumented, Scheduler):
         return len(self.table.known_txns()) - 1
 
     # ------------------------------------------------------------------
-    # Vectorized batch priming (see repro.core.batch)
-    # ------------------------------------------------------------------
-    @property
-    def wants_priming(self) -> bool:
-        """True when the table runs the vectorized core, so the executor
-        should feed it admission windows via :meth:`prime_batch`."""
-        return self.table.batch_core is not None
-
-    def prime_batch(self, requests: Any) -> int:
-        """Speculatively batch-decide a window of upcoming ``(txn, item)``
-        requests through the vectorized core (no-op on the Python path).
-        Wrong speculation is harmless: entries are validated exactly
-        before use and fall through to the normal scan otherwise."""
-        return self.table.prime_requests(requests)
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict[str, Any]:
@@ -475,9 +448,6 @@ class MTkScheduler(Instrumented, Scheduler):
         cache = self.table.cache_info()
         self.metrics.set_gauge("compare_cache_hits", cache["hits"])
         self.metrics.set_gauge("compare_cache_misses", cache["misses"])
-        core = self.table.core_info()
-        self.metrics.set_gauge("batch_pairs_decided", core["pairs_decided"])
-        self.metrics.set_gauge("batch_fallbacks", core["fallbacks"])
         return super().metrics_snapshot()
 
     def table_snapshot(self) -> Mapping[int, tuple[Any, ...]] | None:
@@ -498,33 +468,15 @@ class MTkScheduler(Instrumented, Scheduler):
             if t != VIRTUAL_TXN and t not in self.aborted
         ]
         graph = DependencyGraph(txns)
-        core = self.table.batch_core
-        if core is not None and len(txns) > 2:
-            # All O(n^2) pairwise comparisons in one vectorized matrix
-            # pass; the core is exact, so the graph (and the order) is
-            # the one the sequential scans below would build.  Consuming
-            # raw verdict codes skips n^2 Comparison materializations.
-            from .batch import CODE_GREATER, CODE_LESS
-
-            codes = core.compare_matrix(txns)[0].tolist()
-            for a_pos, a in enumerate(txns):
-                row = codes[a_pos]
-                for b_pos in range(a_pos + 1, len(txns)):
-                    code = row[b_pos]
-                    if code == CODE_LESS:
-                        graph.add_edge(a, txns[b_pos])
-                    elif code == CODE_GREATER:
-                        graph.add_edge(txns[b_pos], a)
-        else:
-            for a_pos, a in enumerate(txns):
-                for b in txns[a_pos + 1 :]:
-                    ordering = compare(
-                        self.table.vector(a), self.table.vector(b)
-                    ).ordering
-                    if ordering is Ordering.LESS:
-                        graph.add_edge(a, b)
-                    elif ordering is Ordering.GREATER:
-                        graph.add_edge(b, a)
+        for a_pos, a in enumerate(txns):
+            for b in txns[a_pos + 1 :]:
+                ordering = compare(
+                    self.table.vector(a), self.table.vector(b)
+                ).ordering
+                if ordering is Ordering.LESS:
+                    graph.add_edge(a, b)
+                elif ordering is Ordering.GREATER:
+                    graph.add_edge(b, a)
         order = graph.topological_order()
         if order is None:  # pragma: no cover - Lemmas 1-2 forbid this
             raise RuntimeError("timestamp vectors form a cycle")

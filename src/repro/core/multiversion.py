@@ -46,7 +46,7 @@ assert view equivalence and bit-identity with the pre-split scheduler).
 
 :class:`MultiversionMixin` carries the behaviour so it composes with
 either base: :class:`MVMTkScheduler` (over plain MT(k), full constructor
-surface — counters/encoding/decision-core — so the parallel shard plane
+surface — counters/encoding — so the parallel shard plane
 can host it) and :class:`MVDMTkScheduler` (over DMT(k), where
 decentralized visibility shrinks the per-operation lock set to the item
 record and the issuing transaction: versions are resolved against the
@@ -525,10 +525,10 @@ class MVMTkScheduler(MultiversionMixin, MTkScheduler):
     """Multiversion MT(k): vector-timestamped versions, abort-free reads.
 
     Accepts the full MT(k) constructor surface (site-tagged counters,
-    encoding policies, the vectorized decision core, anti-starvation) so
-    the parallel shard plane can host it like any other engine;
-    ``read_rule`` is forced to ``"none"`` — the multiversion read path
-    replaces the lines 9-10 fallback wholesale.
+    encoding policies, anti-starvation) so the parallel shard plane can
+    host it like any other engine; ``read_rule`` is forced to ``"none"``
+    — the multiversion read path replaces the lines 9-10 fallback
+    wholesale.
     """
 
     def __init__(self, k: int, trace: bool = False, **kwargs: Any) -> None:

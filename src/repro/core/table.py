@@ -18,7 +18,7 @@ III-D-5 that pushes the encoding toward the right end of the vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 from .timestamp import (
     Comparison,
@@ -249,23 +249,15 @@ class TimestampTable:
     cache only skips redundant rescans of unmutated vectors).
     """
 
-    #: Valid values for ``decision_core``.
-    DECISION_CORES = ("python", "numpy")
-
     def __init__(
         self,
         k: int,
         counters: Counters | None = None,
         encoding: EncodingPolicy | None = None,
         cache_size: int = DEFAULT_COMPARE_CACHE,
-        decision_core: str = "python",
     ) -> None:
         if k < 1:
             raise ValueError("vector size k must be at least 1")
-        if decision_core not in self.DECISION_CORES:
-            raise ValueError(
-                f"decision_core must be one of {self.DECISION_CORES}"
-            )
         self.k = k
         self.counters = counters if counters is not None else Counters()
         self.encoding = encoding if encoding is not None else NormalEncoding()
@@ -276,22 +268,6 @@ class TimestampTable:
         self._rt: dict[str, int] = {}
         self._wt: dict[str, int] = {}
         self._cache = ComparisonCache(cache_size) if cache_size > 0 else None
-        # The vectorized batch core (see repro.core.batch) mirrors the
-        # slab in numpy planes; ``make_core`` returns None when numpy is
-        # absent, so "numpy" silently degrades to the pure-Python path.
-        if decision_core == "numpy":
-            from .batch import make_core
-
-            self._core = make_core(self)
-        else:
-            self._core = None
-        #: the resolved core ("python" when numpy was requested but is
-        #: unavailable) — what actually decides comparisons.
-        self.decision_core = "numpy" if self._core is not None else "python"
-        #: speculative batch-primed decisions keyed by ``(txn, item)``;
-        #: populated by :meth:`prime_requests`, consumed (with exact
-        #: validation) by :meth:`order_after_latest`.
-        self._primed: dict[tuple[int, str], tuple] = {}
         #: element-comparison cost counter: every Definition 6 comparison
         #: adds its deciding position m (<= k).  This is the unit the
         #: O(nqk) analysis of Section III-D-3 counts.  Cache hits add
@@ -368,29 +344,6 @@ class TimestampTable:
             # the purge the reclaimed row stays alive (keyed by a now-dead
             # transaction id) until FIFO eviction rotates it out.
             self._cache.purge(row)
-        if self._core is not None:
-            # Same leak shape in the numpy mirror: its row remembers the
-            # vector object for the identity check.
-            self._core.forget(txn)
-
-    def invalidate_primed(self, txns) -> int:
-        """Drop speculative primed decisions for *txns* outright.
-
-        :meth:`order_after_latest` already validates every primed entry
-        (vector identity, version, index agreement) before trusting it,
-        so stale entries can never flip a decision — this is the
-        belt-and-braces path for replica row refreshes (restart/drop
-        commands and re-shipped reseeded rows on the parallel plane),
-        where the entire speculation basis for the transaction is gone.
-        Returns the number of entries dropped."""
-        primed = self._primed
-        if not primed:
-            return 0
-        txns = set(txns)
-        stale = [key for key in primed if key[0] in txns]
-        for key in stale:
-            del primed[key]
-        return len(stale)
 
     def rt(self, item: str) -> int:
         """``RT(x)``: id of the most recent reader (initially ``T_0``)."""
@@ -430,19 +383,7 @@ class TimestampTable:
         Semantically identical to ``set_less(latest_accessor(item), i,
         item)``; fusing saves a call layer and a row lookup per scheduled
         operation — this pair is the per-operation hot path of MT(k).
-
-        When :meth:`prime_requests` has speculatively batch-decided this
-        ``(i, item)`` request, the primed verdicts are used instead of
-        rescanning — but only after exact validation (same ``RT``/``WT``
-        indices, same vector objects, same mutation versions), so the
-        decision is bit-for-bit what the scan would have produced.
         """
-        if self._primed:
-            entry = self._primed.pop((i, item), None)
-            if entry is not None:
-                applied = self._apply_primed(entry, i, item)
-                if applied is not None:
-                    return applied
         rt = self._rt.get(item, VIRTUAL_TXN)
         wt = self._wt.get(item, VIRTUAL_TXN)
         if rt == wt:
@@ -451,150 +392,6 @@ class TimestampTable:
             comparison = self._compare_counted(self.vector(rt), self.vector(wt))
             j = wt if comparison.ordering is Ordering.LESS else rt
         return j, self.set_less(j, i, item)
-
-    # ------------------------------------------------------------------
-    # Speculative batch priming (vectorized decision core)
-    # ------------------------------------------------------------------
-    def prime_requests(self, requests: Iterable[tuple[int, str]]) -> int:
-        """Batch-decide the Definition 6 comparisons a window of upcoming
-        ``(txn, item)`` requests will need, through the vectorized core.
-
-        For each request the primed entry carries the three comparisons
-        :meth:`order_after_latest` may consult — ``(RT, WT)``,
-        ``(RT, i)`` and ``(WT, i)`` — plus the validation state (index
-        values, vector identities, mutation versions) under which they
-        were computed.  Priming is pure speculation: a request that never
-        arrives, or arrives after the state moved on, simply fails
-        validation and takes the normal path.  Returns the number of
-        entries primed (0 when the core is inactive).
-        """
-        core = self._core
-        if core is None:
-            return 0
-        rt_get = self._rt.get
-        wt_get = self._wt.get
-        plan: list[tuple[tuple[int, str], int, int]] = []
-        pairs: list[tuple[int, int]] = []
-        pair_slot: dict[tuple[int, int], int] = {}
-
-        def slot(a: int, b: int) -> int:
-            index = pair_slot.get((a, b))
-            if index is None:
-                index = pair_slot[(a, b)] = len(pairs)
-                pairs.append((a, b))
-            return index
-
-        primed = self._primed
-        primed.clear()  # stale speculation from the previous window
-        for txn, item in requests:
-            rt = rt_get(item, VIRTUAL_TXN)
-            wt = wt_get(item, VIRTUAL_TXN)
-            plan.append(((txn, item), rt, wt))
-            if rt != wt:
-                slot(rt, wt)
-            if rt != txn:
-                slot(rt, txn)
-            if wt != txn:
-                slot(wt, txn)
-        if not pairs:
-            return 0
-        decided = core.compare_pairs(pairs)
-        for key, rt, wt in plan:
-            txn = key[0]
-            ts_rt = self.vector(rt)
-            ts_wt = self.vector(wt)
-            ts_i = self.vector(txn)
-            primed[key] = (
-                rt,
-                wt,
-                ts_rt,
-                ts_wt,
-                ts_i,
-                ts_rt._version,
-                ts_wt._version,
-                ts_i._version,
-                decided[pair_slot[(rt, wt)]] if rt != wt else None,
-                decided[pair_slot[(rt, txn)]] if rt != txn else None,
-                decided[pair_slot[(wt, txn)]] if wt != txn else None,
-            )
-        return len(plan)
-
-    def _apply_primed(
-        self, entry: tuple, i: int, item: str | None
-    ) -> tuple[int, SetOutcome] | None:
-        """Replay a primed ``order_after_latest`` if — and only if — the
-        table state is exactly what the batch saw; ``None`` otherwise."""
-        (
-            rt,
-            wt,
-            ts_rt,
-            ts_wt,
-            ts_i,
-            v_rt,
-            v_wt,
-            v_i,
-            c_rw,
-            c_ri,
-            c_wi,
-        ) = entry
-        if self._rt.get(item, VIRTUAL_TXN) != rt:
-            return None
-        if self._wt.get(item, VIRTUAL_TXN) != wt:
-            return None
-        if self.vector(rt) is not ts_rt or ts_rt._version != v_rt:
-            return None
-        if self.vector(wt) is not ts_wt or ts_wt._version != v_wt:
-            return None
-        if self.vector(i) is not ts_i or ts_i._version != v_i:
-            return None
-        # Lines 5-6: pick the latest accessor from the primed verdict.
-        if rt == wt:
-            j = rt
-        else:
-            self.element_visits += c_rw.position
-            j = wt if c_rw.ordering is Ordering.LESS else rt
-        if j == i:
-            return j, SetOutcome(
-                True, Comparison.of(Ordering.IDENTICAL, self.k), False
-            )
-        comparison = c_ri if j == rt else c_wi
-        self.element_visits += comparison.position
-        ordering = comparison.ordering
-        if ordering is Ordering.LESS:
-            return j, SetOutcome(True, comparison, False)
-        if ordering is Ordering.GREATER:
-            return j, SetOutcome(False, comparison, False)
-        if ordering is Ordering.IDENTICAL:
-            raise RuntimeError(
-                f"vectors of T{j} and T{i} are identical: {self.vector(j)}"
-            )
-        ts_j = ts_rt if j == rt else ts_wt
-        if ordering is Ordering.EQUAL:
-            self.encoding.encode_equal(
-                ts_j, ts_i, comparison.position, self.counters, item
-            )
-        else:  # Ordering.SEMI
-            self.encoding.encode_semi(
-                ts_j, ts_i, comparison.position, self.counters, item
-            )
-        return j, SetOutcome(True, comparison, True)
-
-    @property
-    def batch_core(self):
-        """The active vectorized core, or ``None`` on the Python path."""
-        return self._core
-
-    def core_info(self) -> dict[str, int]:
-        """Batch-core counters (zeros when the core is inactive)."""
-        if self._core is None:
-            return {
-                "batches": 0,
-                "pairs_decided": 0,
-                "fallbacks": 0,
-                "syncs": 0,
-                "rows": 0,
-            }
-        return self._core.info()
 
     # ------------------------------------------------------------------
     # Cached comparisons

@@ -333,16 +333,6 @@ class AdmissionQueue:
             heapq.heappush(self._delayed, (ready, self._seq, txn_id))
 
     # ------------------------------------------------------------------
-    def peek_window(self, n: int) -> list[int]:
-        """Up to *n* upcoming transaction ids, without dispatching them.
-
-        Side-effect-free: only the already-released live queue is
-        visible (pending batches and immature delayed retries are not
-        speculated about).  Used by the executor to prime the vectorized
-        decision core with the next admission window.
-        """
-        return self._queue[self._pointer : self._pointer + n]
-
     def depth(self) -> int:
         """Live entries awaiting dispatch."""
         return len(self._queue) - self._pointer + len(self._delayed)

@@ -27,9 +27,7 @@ Execution model (window-at-a-time; the service drives it):
    supersedes);
 2. each shard's batch ships over a pipe as one compact message of
    tuples/ints (no per-op objects), together with the replica rows the
-   shard is missing; workers decide the whole batch locally — priming
-   the vectorized decision core (repro.core.batch) with the full batch,
-   which finally amortizes at window sizes — and reply with
+   shard is missing; workers decide the whole batch locally and reply with
    ``(seq, decision_code)`` pairs, dirty-row snapshots, and the
    ``RT``/``WT`` updates for every item the batch touched;
 3. the coordinator merges replies **in admission (seq) order**, applies
@@ -93,8 +91,7 @@ CODE_SKIP = 3
 _KINDS = (OpKind.READ, OpKind.WRITE)
 
 #: Default admission-window width for windowed execution.  IPC
-#: amortization wants hundreds of operations per message; the
-#: window-size sweep in ``decision_core_bench`` maps the trade-off.
+#: amortization wants hundreds of operations per message.
 DEFAULT_WINDOW = 256
 
 _POLL_INTERVAL = 0.25
@@ -153,7 +150,6 @@ class ShardEngine:
         shard_id: int,
         k: int,
         read_rule: str,
-        decision_core: str,
         anti_starvation: bool = False,
         protocol: str = "mtk",
     ) -> None:
@@ -162,7 +158,6 @@ class ShardEngine:
         shared = dict(
             counters=SiteTaggedCounters(shard_id),
             encoding=_JoiningEncoding(),
-            decision_core=decision_core,
             anti_starvation=anti_starvation,
         )
         if self.multiversion:
@@ -179,7 +174,6 @@ class ShardEngine:
             self.scheduler = MTkScheduler(
                 k, read_rule=read_rule, **shared
             )
-        self.primed = 0
         self._exported: dict[int, int] = {}
         self._dirty_rows: set[int] = set()
         self._dirty_items: set[str] = set()
@@ -193,7 +187,6 @@ class ShardEngine:
 
     def reset(self) -> None:
         self.scheduler.reset()
-        self.primed = 0
         self._exported.clear()
         self._dirty_rows.clear()
         self._dirty_items.clear()
@@ -210,7 +203,6 @@ class ShardEngine:
         needed."""
         table = self.scheduler.table
         exported = self._exported
-        refreshed = []
         for txn, values in rows:
             row = table.vector(txn)
             row.flush()
@@ -218,13 +210,6 @@ class ShardEngine:
                 if value is not None:
                     row.set(position, value)
             exported[txn] = row.version
-            refreshed.append(txn)
-        # A re-shipped row invalidates any speculative primed decision
-        # that was computed against the pre-reseed snapshot (the primed
-        # entry's own validation would catch a changed vector, but the
-        # whole speculation basis is gone — drop it outright).
-        if refreshed:
-            table.invalidate_primed(refreshed)
 
     def apply_command(self, command: tuple) -> None:
         kind = command[0]
@@ -268,9 +253,6 @@ class ShardEngine:
         if kind == "commit":
             scheduler.commit(txn)
             return
-        # "restart"/"drop" precede a reseed or re-ship of txn's row:
-        # primed decisions speculated against the dead row are stale.
-        scheduler.table.invalidate_primed((txn,))
         # "restart" / "drop": the coordinator resolved a reject for txn.
         if txn in scheduler.aborted:
             # This engine issued the reject: its RT/WT undo already ran
@@ -299,10 +281,6 @@ class ShardEngine:
         table = scheduler.table
         decisions: list[tuple] = []
         rejected: set[int] = set()
-        if scheduler.wants_priming and len(batch) > 1:
-            self.primed += scheduler.prime_batch(
-                [(txn, item) for _seq, txn, _kind, item in batch]
-            )
         dirty_rows = self._dirty_rows
         dirty_items = self._dirty_items
         touched_map = scheduler._touched
@@ -404,9 +382,7 @@ class ShardEngine:
             )
         self._dirty_rows.clear()
         self._dirty_items.clear()
-        stats: tuple = (
-            table.element_visits, self.primed, table.decision_core,
-        )
+        stats: tuple = (table.element_visits,)
         if self.multiversion:
             stats += (
                 (
@@ -433,15 +409,10 @@ class _WorkerHost:
     def __init__(
         self, shard_ids: Sequence[int], config: tuple
     ) -> None:
-        # config = (k, read_rule, decision_core, anti_starvation[,
-        # protocol]); the short form predates the mvmt protocol and is
-        # still accepted so recovery logs written by older runs replay.
-        k, read_rule, decision_core, anti_starvation = config[:4]
-        protocol = config[4] if len(config) > 4 else "mtk"
+        k, read_rule, anti_starvation, protocol = config
         self.engines = {
             shard_id: ShardEngine(
-                shard_id, k, read_rule, decision_core, anti_starvation,
-                protocol=protocol,
+                shard_id, k, read_rule, anti_starvation, protocol=protocol
             )
             for shard_id in shard_ids
         }
@@ -662,7 +633,6 @@ class ParallelShardSet:
         workers: int = 0,
         window: int = DEFAULT_WINDOW,
         router: ShardRouter | None = None,
-        decision_core: str | None = None,
         start_method: str | None = None,
         timeout: float = 120.0,
     ) -> None:
@@ -675,20 +645,15 @@ class ParallelShardSet:
                 "retain_locks / sync_interval are DMT(k) simulation "
                 "options; the parallel plane does not model them"
             )
-        core = decision_core if decision_core is not None else "numpy"
-        if core not in ("python", "numpy"):
-            raise ValueError("decision_core must be 'python' or 'numpy'")
         self.spec = spec
         self.workers = int(workers)
         self.window = int(window)
         self.router = router or ShardRouter(spec.n_shards)
         if self.router.n_shards != spec.n_shards:
             raise ValueError("router and spec disagree on shard count")
-        self.decision_core = core
         self.shards = [Shard(index) for index in range(spec.n_shards)]
         self._config = (
-            spec.k, spec.read_rule, core, spec.anti_starvation,
-            spec.protocol,
+            spec.k, spec.read_rule, spec.anti_starvation, spec.protocol,
         )
         self._start_method = start_method
         self._timeout = timeout
@@ -1091,19 +1056,6 @@ class ParallelShardSet:
     def element_visits(self) -> int:
         return sum(stats[0] for stats in self._engine_stats.values())
 
-    @property
-    def primed(self) -> int:
-        return sum(stats[1] for stats in self._engine_stats.values())
-
-    def decision_cores(self) -> dict[int, str]:
-        """The decision core each engine actually resolved (``numpy``
-        silently degrades to ``python`` where numpy is absent — this is
-        how workers report which one they run)."""
-        return {
-            shard: stats[2]
-            for shard, stats in sorted(self._engine_stats.items())
-        }
-
     def snapshot(self) -> list[dict[str, Any]]:
         return [shard.snapshot() for shard in self.shards]
 
@@ -1111,9 +1063,9 @@ class ParallelShardSet:
         """Aggregated multiversion gauges across engines (``None`` when
         no engine runs the mvmt protocol)."""
         reported = [
-            stats[3]
+            stats[1]
             for stats in self._engine_stats.values()
-            if len(stats) > 3
+            if len(stats) > 1
         ]
         if not reported:
             return None
@@ -1126,14 +1078,7 @@ class ParallelShardSet:
         }
 
     def stage_snapshot(self) -> dict[str, Any]:
-        cores = self.decision_cores()
-        mvcc = self.mvcc_stats()
-        if mvcc is not None:
-            return {**self._stage_snapshot_base(cores), "mvcc": mvcc}
-        return self._stage_snapshot_base(cores)
-
-    def _stage_snapshot_base(self, cores: dict[int, str]) -> dict[str, Any]:
-        return {
+        snapshot = {
             "workers": self.workers,
             "window": self.window,
             "start_method": (
@@ -1152,12 +1097,12 @@ class ParallelShardSet:
             "worker_occupancy": [
                 round(share, 4) for share in self.worker_occupancy()
             ],
-            "decision_cores": {
-                str(shard): core for shard, core in cores.items()
-            },
             "element_visits": self.element_visits,
-            "primed": self.primed,
         }
+        mvcc = self.mvcc_stats()
+        if mvcc is not None:
+            snapshot["mvcc"] = mvcc
+        return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -82,12 +82,6 @@ class _TxnState:
 class PipelineExecutor(Instrumented):
     """Drives transactions through the staged pipeline with retries."""
 
-    #: Operations per speculative priming window fed to a scheduler's
-    #: vectorized decision core (see repro.core.batch).  Speculation is
-    #: validated exactly at use, so the size only trades batch width
-    #: against the odds of mid-window invalidation.
-    PRIME_WINDOW = 32
-
     def __init__(
         self,
         scheduler: Scheduler,
@@ -102,7 +96,6 @@ class PipelineExecutor(Instrumented):
         shards: ShardSet | None = None,
         parallel: int | ParallelShardSet | None = None,
         window: int | None = None,
-        prime_window: int | None = None,
         transport: str = "pipe",
         fault_plan: Any | None = None,
         state_dir: str | None = None,
@@ -114,8 +107,6 @@ class PipelineExecutor(Instrumented):
             raise ValueError("rollback must be 'full' or 'partial'")
         if shards is not None and shards.scheduler is not scheduler:
             raise ValueError("shards.scheduler must be the pipeline scheduler")
-        if prime_window is not None and prime_window < 1:
-            raise ValueError("prime_window must be positive")
         if transport not in ("pipe", "loopback", "tcp"):
             raise ValueError(
                 "transport must be 'pipe', 'loopback' or 'tcp'"
@@ -156,11 +147,6 @@ class PipelineExecutor(Instrumented):
         # per operation / per abort.
         self._deferred = write_policy == "deferred"
         self._partial = rollback == "partial"
-        #: Speculative priming window for the sequential lanes
-        #: (instance-tunable; class attribute is the default).
-        self.prime_window = (
-            int(prime_window) if prime_window is not None else self.PRIME_WINDOW
-        )
         self.parallel_plane: ParallelShardSet | None = None
         self._parallel_owned = False
         self._window = 0
@@ -284,15 +270,6 @@ class PipelineExecutor(Instrumented):
         self._parked = {}
         self._txn_sources = {}
         self._releasing = False
-        # Speculative batch priming: only when the scheduler runs the
-        # vectorized core (checked after reset(), which rebuilds the
-        # table and thus decides python vs numpy).
-        self._prime = (
-            self.scheduler.prime_batch
-            if getattr(self.scheduler, "wants_priming", False)
-            else None
-        )
-
         admission = self._admission
         if arrivals is not None:
             admission.begin_open_loop(
@@ -341,17 +318,9 @@ class PipelineExecutor(Instrumented):
         queue = admission.backing_list()
         committed = report.committed
         failed = report.failed
-        prime = self._prime
-        next_prime = 0
         pointer = 0
         while True:
             while pointer < len(queue):
-                if prime is not None and pointer >= next_prime:
-                    window = queue[pointer : pointer + self.prime_window]
-                    prime(
-                        self._window_requests(window, states, committed, failed)
-                    )
-                    next_prime = pointer + max(1, len(window))
                 txn_id = queue[pointer]
                 pointer += 1
                 state = states[txn_id]
@@ -388,8 +357,6 @@ class PipelineExecutor(Instrumented):
         backpressure, delayed retries in simulated time)."""
         committed = report.committed
         failed = report.failed
-        prime = self._prime
-        countdown = 0
         while True:
             txn_id = admission.pop()
             if txn_id is None:
@@ -401,19 +368,6 @@ class PipelineExecutor(Instrumented):
                     )
                     continue
                 break
-            if prime is not None:
-                if countdown <= 0:
-                    # The popped id plus whatever the admission stage has
-                    # already released — pending batches and immature
-                    # delayed retries are not speculated about.
-                    window = [txn_id] + admission.peek_window(
-                        self.prime_window - 1
-                    )
-                    prime(
-                        self._window_requests(window, states, committed, failed)
-                    )
-                    countdown = len(window)
-                countdown -= 1
             state = states[txn_id]
             if txn_id in failed or txn_id in committed:
                 continue
@@ -809,34 +763,6 @@ class PipelineExecutor(Instrumented):
             if self.events.enabled:
                 self.events.emit("restart", txn=txn_id, partial=False)
             self._requeue_retry(state, admission)
-
-    def _window_requests(
-        self,
-        window: Sequence[int],
-        states: dict[int, _TxnState],
-        committed: set[int],
-        failed: set[int],
-    ) -> list[tuple[int, str]]:
-        """Predict the ``(txn, item)`` requests an admission window will
-        issue, walking each transaction's program from its current
-        position.  Pure speculation — an abort mid-window shifts the
-        stream, and the primed entries simply fail validation."""
-        positions: dict[int, int] = {}
-        requests: list[tuple[int, str]] = []
-        deferred = self._deferred
-        for txn_id in window:
-            if txn_id in failed or txn_id in committed:
-                continue
-            state = states[txn_id]
-            position = positions.get(txn_id, state.position)
-            if position >= state.txn.num_operations:
-                continue
-            op = state.txn.operations[position]
-            positions[txn_id] = position + 1
-            if deferred and op.kind is OpKind.WRITE:
-                continue  # buffered, not scheduled now
-            requests.append((txn_id, op.item))
-        return requests
 
     # ------------------------------------------------------------------
     def _step(

@@ -137,11 +137,9 @@ class TransactionService:
         queue_capacity: int | None = None,
         batch_size: int | None = None,
         shuffle_batches: bool = False,
-        decision_core: str = "python",
         anti_starvation: bool = False,
         parallel: int | Any | None = None,
         window: int | None = None,
-        prime_window: int | None = None,
         transport: str = "pipe",
         fault_plan: Any | None = None,
         state_dir: str | None = None,
@@ -153,7 +151,6 @@ class TransactionService:
             protocol=protocol,
             retain_locks=retain_locks,
             sync_interval=sync_interval,
-            decision_core=decision_core,
             anti_starvation=anti_starvation,
         )
         self.shards = ShardSet(spec, router=router)
@@ -170,7 +167,6 @@ class TransactionService:
             shards=self.shards,
             parallel=parallel,
             window=window,
-            prime_window=prime_window,
             transport=transport,
             fault_plan=fault_plan,
             state_dir=state_dir,

@@ -46,10 +46,6 @@ class ShardSpec:
     retain_locks: bool = False
     #: periodic cross-shard counter synchronization (V-B 1b fairness).
     sync_interval: int | None = None
-    #: "numpy" routes Definition 6 decisions through the vectorized
-    #: batch core (decisions bit-identical; pure-Python when numpy is
-    #: absent) — see repro.core.batch.
-    decision_core: str = "python"
     #: Section III-D-4 starvation remedy: re-seed an aborted vector past
     #: its blocker so deterministic reject loops cannot recur.  Open-loop
     #: hot-key workloads (the Zipf scenarios) need this to converge.
@@ -60,8 +56,6 @@ class ShardSpec:
             raise ValueError("n_shards must be at least 1")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.decision_core not in ("python", "numpy"):
-            raise ValueError("decision_core must be 'python' or 'numpy'")
         if self.protocol not in ("mtk", "mvmt"):
             raise ValueError("protocol must be 'mtk' or 'mvmt'")
 
@@ -136,7 +130,6 @@ class ShardSet:
 
                 return MVMTkScheduler(
                     self.spec.k,
-                    decision_core=self.spec.decision_core,
                     anti_starvation=self.spec.anti_starvation,
                     commit_aware=True,
                 )
@@ -145,7 +138,6 @@ class ShardSet:
             return MTkScheduler(
                 self.spec.k,
                 read_rule=self.spec.read_rule,
-                decision_core=self.spec.decision_core,
                 anti_starvation=self.spec.anti_starvation,
             )
         shared = dict(
@@ -154,7 +146,6 @@ class ShardSet:
             site_of_txn=self.router.shard_of_txn,
             retain_locks=self.spec.retain_locks,
             sync_interval=self.spec.sync_interval,
-            decision_core=self.spec.decision_core,
             anti_starvation=self.spec.anti_starvation,
         )
         if multiversion:

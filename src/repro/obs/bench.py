@@ -9,7 +9,7 @@ results into one machine-readable ``BENCH_repro.json``:
 .. code-block:: json
 
     {
-      "schema": "repro-bench/v2",
+      "schema": "repro-bench/v3",
       "quick": true,
       "scenarios": {
         "mt3_uniform": {
@@ -35,9 +35,8 @@ transactions per second* (TPS — the standard measure of useful work for
 a concurrency-control comparison; the old executed-ops rate rewarded
 restart churn) and keeps the ops-based rate as ``ops_rate``.
 Multiversion scenarios additionally report ``mv_read_aborts`` /
-``mv_horizon_aborts``.  Consumers (``compare_payloads``, the CI
-perf-smoke job) accept v1–v3 payloads, so an old committed baseline
-still gates a new run.
+``mv_horizon_aborts``.  Consumers (``validate_payload``, the CI
+perf-smoke job) accept the current schema only.
 
 Every subsequent performance PR regenerates this file and diffs it
 against the committed baseline, so "as fast as the hardware allows" has a
@@ -58,8 +57,8 @@ from typing import Any, Callable, Mapping, Sequence
 #: Version tag of the JSON schema below; bump on breaking changes.
 SCHEMA = "repro-bench/v3"
 
-#: Schemas :func:`validate_payload` accepts (old baselines stay usable).
-ACCEPTED_SCHEMAS = ("repro-bench/v1", "repro-bench/v2", "repro-bench/v3")
+#: Schemas :func:`validate_payload` accepts.
+ACCEPTED_SCHEMAS = (SCHEMA,)
 
 #: Keys every scenario result must carry (the regression contract).
 REQUIRED_RESULT_KEYS = (
@@ -251,10 +250,7 @@ def _default_scenarios() -> dict[str, Scenario]:
             name,
             description,
             lambda n=n_shards: ShardSet(
-                ShardSpec(
-                    n_shards=n, k=3, decision_core="numpy",
-                    anti_starvation=True,
-                )
+                ShardSpec(n_shards=n, k=3, anti_starvation=True)
             ),
             zipf_full,
             open_loop=zipf_full,
@@ -423,7 +419,6 @@ def run_seed(
     name: str,
     seed: int,
     profile: bool = False,
-    decision_core: str = "python",
     quick: bool = False,
     overrides: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
@@ -437,7 +432,6 @@ def run_seed(
         scenarios()[name],
         seed,
         profile=profile,
-        decision_core=decision_core,
         quick=quick,
         overrides=overrides,
     )
@@ -453,18 +447,10 @@ def _run_seed_for(
     scenario: Scenario,
     seed: int,
     profile: bool = False,
-    decision_core: str = "python",
     quick: bool = False,
     overrides: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """One scenario × seed execution; returns the per-seed counters.
-
-    ``decision_core="numpy"`` flips MT(k)-family schedulers onto the
-    vectorized batch core (``repro.core.batch``) before the run; the
-    attribute is read at ``reset()`` time inside ``execute``, so setting
-    it on the built scheduler is sufficient.  Schedulers without the
-    switch (TO, 2PL, optimistic, interval) run unchanged — decisions are
-    identical either way, so results stay comparable across cores.
 
     ``quick`` swaps in the scenario's ``quick_spec_kwargs`` (the
     open-loop scenarios shrink their streams for CI smoke).  *overrides*
@@ -514,8 +500,6 @@ def _run_seed_for(
             scheduler, shards = built.scheduler, built
         else:
             scheduler, shards = built, None
-        if decision_core != "python" and hasattr(scheduler, "decision_core"):
-            scheduler.decision_core = decision_core
         executor = PipelineExecutor(
             scheduler,
             max_attempts=scenario.max_attempts,
@@ -590,9 +574,6 @@ def _run_seed_for(
         # zero (abort-free reads); horizon aborts record the GC trade-off.
         result["mv_read_aborts"] = scheduler.mv_read_aborts
         result["mv_horizon_aborts"] = scheduler.mv_horizon_aborts
-    table = getattr(scheduler, "table", None)
-    if table is not None and getattr(table, "decision_core", "python") == "numpy":
-        result["batch_core"] = table.core_info()
     if profile_rows is not None:
         result["profile"] = profile_rows
     return result
@@ -705,7 +686,6 @@ def _merge_stages(
             for key in first["ipc"]
         }
         block["worker_occupancy"] = first.get("worker_occupancy")
-        block["decision_cores"] = first.get("decision_cores")
         merged["parallel"] = block
     shard_snaps = [snap["shards"] for snap in snapshots if "shards" in snap]
     if shard_snaps:
@@ -765,11 +745,6 @@ def _aggregate(
     stages = _merge_stages(per_seed)
     if stages is not None:
         result["stages"] = stages
-    cores = [cell["batch_core"] for cell in per_seed if "batch_core" in cell]
-    if cores:
-        result["batch_core"] = {
-            key: sum(core[key] for core in cores) for key in cores[0]
-        }
     profiles = [cell["profile"] for cell in per_seed if "profile" in cell]
     if profiles:
         result["profile"] = _merge_profiles(profiles)
@@ -780,7 +755,6 @@ def run_scenario(
     scenario: Scenario,
     quick: bool = False,
     profile: bool = False,
-    decision_core: str = "python",
 ) -> dict[str, Any]:
     """Execute one scenario across its seeds; returns the result record."""
     cells = [
@@ -788,7 +762,6 @@ def run_scenario(
             scenario,
             seed,
             profile=profile,
-            decision_core=decision_core,
             quick=quick,
         )
         for seed in range(scenario.quick_seeds if quick else scenario.full_seeds)
@@ -797,121 +770,17 @@ def run_scenario(
 
 
 def _run_cell(
-    task: tuple[str, int, bool, str, bool, tuple]
+    task: tuple[str, int, bool, bool, tuple]
 ) -> tuple[str, int, dict[str, Any]]:
     """Pool entry point: one ``(scenario, seed)`` cell, tagged for reorder."""
-    name, seed, profile, decision_core, quick, override_items = task
+    name, seed, profile, quick, override_items = task
     return name, seed, run_seed(
         name,
         seed,
         profile=profile,
-        decision_core=decision_core,
         quick=quick,
         overrides=dict(override_items),
     )
-
-
-def core_microbench(
-    n_txns: int = 192,
-    k: int = 3,
-    seed: int = 0,
-    repeats: int = 5,
-    hole_rate: float = 0.2,
-) -> dict[str, Any] | None:
-    """Decision-core microbench: all-pairs Definition 6 decisions over
-    *n_txns* random vectors, sequential scans vs the vectorized
-    :meth:`~repro.core.batch.BatchDecisionCore.compare_matrix`.
-
-    This measures exactly the work the core vectorizes — the batched
-    decisions themselves — which is where the paper's III-E parallelism
-    claim lives.  End-to-end scheduler throughput gains are necessarily
-    smaller (Amdahl: comparisons are ~30% of the executor's hot path;
-    see EXPERIMENTS.md).  Both sides are exact and produce identical
-    verdicts.  Returns ``None`` when numpy is absent.
-    """
-    import random
-
-    from ..core.batch import HAVE_NUMPY
-    from ..core.table import TimestampTable
-    from ..core.timestamp import compare
-
-    if not HAVE_NUMPY:
-        return None
-    rng = random.Random(seed)
-    table = TimestampTable(k, decision_core="numpy")
-    for txn in range(1, n_txns + 1):
-        vector = table.vector(txn)
-        for position in range(1, k + 1):
-            if rng.random() >= hole_rate:
-                vector.set(position, rng.randint(-50, 50))
-    txns = list(range(1, n_txns + 1))
-    core = table.batch_core
-    vector = table.vector
-
-    core.compare_matrix(txns)  # warm-up: sync all rows, prime caches
-    numpy_s = sequential_s = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        core.compare_matrix(txns)
-        elapsed = time.perf_counter() - start
-        numpy_s = elapsed if numpy_s is None else min(numpy_s, elapsed)
-        start = time.perf_counter()
-        for a in txns:
-            left = vector(a)
-            for b in txns:
-                if a != b:
-                    compare(left, vector(b))
-        elapsed = time.perf_counter() - start
-        sequential_s = (
-            elapsed if sequential_s is None else min(sequential_s, elapsed)
-        )
-    pairs = n_txns * n_txns - n_txns
-    result = {
-        "n_txns": n_txns,
-        "k": k,
-        "pairs": pairs,
-        "python_ms": round(sequential_s * 1000.0, 3),
-        "numpy_ms": round(numpy_s * 1000.0, 3),
-        "python_pairs_per_s": round(pairs / sequential_s, 1),
-        "numpy_pairs_per_s": round(pairs / numpy_s, 1),
-        "speedup": round(sequential_s / numpy_s, 2),
-    }
-    # Window-size sweep: the same all-pairs work at the batch sizes the
-    # parallel plane actually ships, locating the crossover below which
-    # numpy's fixed per-call overhead loses to the sequential scan.
-    # This is the measurement behind the plane's window-size default.
-    sweep: list[dict[str, Any]] = []
-    for window in (16, 64, 256, 1024):
-        batch = list(range(1, window + 1))
-        for txn in batch:
-            row = table.vector(txn)
-            if row.defined_count() == 0:
-                row.set(1, rng.randint(-50, 50))
-        core.compare_matrix(batch)  # sync rows before timing
-        start = time.perf_counter()
-        core.compare_matrix(batch)
-        w_numpy_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for a in batch:
-            left = table.vector(a)
-            for b in batch:
-                if a != b:
-                    compare(left, table.vector(b))
-        w_python_s = time.perf_counter() - start
-        w_pairs = window * window - window
-        sweep.append(
-            {
-                "window": window,
-                "pairs": w_pairs,
-                "python_ms": round(w_python_s * 1000.0, 3),
-                "numpy_ms": round(w_numpy_s * 1000.0, 3),
-                "speedup": round(w_python_s / w_numpy_s, 2)
-                if w_numpy_s > 0
-                else 0.0,
-            }
-        )
-    result["window_sweep"] = sweep
-    return result
 
 
 def run_bench(
@@ -920,7 +789,6 @@ def run_bench(
     out: str | Path | None = "BENCH_repro.json",
     jobs: int = 1,
     profile: bool = False,
-    decision_core: str = "python",
     parallel: int | None = None,
     window: int | None = None,
     transport: str | None = None,
@@ -938,12 +806,6 @@ def run_bench(
     top-hotspot breakdown; the profiler only runs on the first timed repeat,
     so the minimum-of-repeats wall clock still comes from unprofiled runs.
 
-    ``decision_core="numpy"`` routes MT(k)-family scenarios through the
-    vectorized batch core (identical decisions; recorded in the payload).
-    The payload always carries a ``decision_core_bench`` section — the
-    all-pairs microbench isolating the batched-decision speedup — when
-    numpy is importable, whichever core the scenarios ran on.
-
     ``parallel``/``window`` override the worker count and window size of
     scenarios that run the windowed parallel plane (the sequential
     scenarios are never rerouted); ``transport`` reroutes those same
@@ -959,8 +821,6 @@ def run_bench(
 
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if decision_core not in ("python", "numpy"):
-        raise ValueError("decision_core must be 'python' or 'numpy'")
     table = scenarios()
     selected = list(only) if only else sorted(table)
     unknown = [name for name in selected if name not in table]
@@ -978,8 +838,7 @@ def run_bench(
     ]
     jobs = plan_fanout(jobs, max(worker_counts, default=0))
     tasks = [
-        (name, seed, profile, decision_core, quick,
-         tuple(sorted(overrides.items())))
+        (name, seed, profile, quick, tuple(sorted(overrides.items())))
         for name in selected
         for seed in range(
             table[name].quick_seeds if quick else table[name].full_seeds
@@ -1015,14 +874,10 @@ def run_bench(
         "quick": quick,
         "jobs": jobs,
         "python": platform.python_version(),
-        "decision_core": decision_core,
         "scenarios": results,
     }
     if transport is not None:
         payload["transport"] = transport
-    microbench = core_microbench()
-    if microbench is not None:
-        payload["decision_core_bench"] = microbench
     if out is not None:
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
     return payload

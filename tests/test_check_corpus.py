@@ -22,12 +22,15 @@ from repro.check.oracle import SerializabilityOracle
 from repro.model.log import Log
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
+# The one case that carries transaction programs + a service seed instead
+# of a flat log; test_service_run_is_serializable owns it.
+SERVICE_CASE = CORPUS_DIR / "mt3-line9-maximal-restore.json"
 # recovery_*.json cases carry a fault plan + report expectation, not an
 # acceptance vector; tests/test_recovery.py owns their drift checks.
 CASES = sorted(
     path
     for path in CORPUS_DIR.glob("*.json")
-    if not path.stem.startswith("recovery_")
+    if not path.stem.startswith("recovery_") and path != SERVICE_CASE
 )
 
 
@@ -116,3 +119,31 @@ def test_pr1_bug_cases_present():
         "dmt-site-tagged-reset",
         "hot-encoding-example3",
     } <= names
+
+
+@pytest.mark.parametrize(
+    "read_rule",
+    [
+        pytest.param(
+            "line9",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="known Theorem-2 escape: abort-time _maximal() "
+                "restore after a lines 9-10 read (see the case's origin); "
+                "the fix must flip this",
+            ),
+        ),
+        "none",
+    ],
+)
+def test_service_run_is_serializable(read_rule):
+    """A ``TransactionService`` run of the frozen programs must commit a
+    serializable projection under every read rule."""
+    from repro.engine.pipeline import TransactionService
+
+    case = _load(SERVICE_CASE)
+    programs = Log.parse(" ".join(case["programs"])).transactions.values()
+    service = TransactionService(read_rule=read_rule, **case["service"])
+    service.submit_programs(programs)
+    report = service.run(seed=case["seed"])
+    assert report.is_serializable()

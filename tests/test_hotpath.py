@@ -32,6 +32,7 @@ from repro.engine.executor import TransactionExecutor
 from repro.model.generator import WorkloadSpec, generate_transactions
 from repro.obs.bench import (
     PROFILE_TOP,
+    SCHEMA,
     compare_payloads,
     run_bench,
     validate_payload,
@@ -380,7 +381,7 @@ class TestComparePayloads:
     @staticmethod
     def _payload(**throughputs):
         return {
-            "schema": "repro-bench/v1",
+            "schema": SCHEMA,
             "scenarios": {
                 name: {"throughput": value}
                 for name, value in throughputs.items()

@@ -22,7 +22,7 @@ from repro.model.generator import (
 )
 from repro.model.log import Log
 from repro.obs import EventTrace, MetricsRegistry
-from repro.obs.bench import run_bench, validate_payload
+from repro.obs.bench import SCHEMA, run_bench, validate_payload
 from repro.obs.instrument import DECISION_COUNTERS
 
 
@@ -234,7 +234,7 @@ class TestBenchRunner:
     def test_validate_flags_broken_payloads(self):
         assert validate_payload({}) != []
         broken = {
-            "schema": "repro-bench/v1",
+            "schema": SCHEMA,
             "scenarios": {"s": {"throughput": -1}},
         }
         problems = validate_payload(broken)

@@ -4,8 +4,7 @@ The load-bearing claim is *transport invariance*: the windowed lane's
 report is a pure function of (workload, schedule, spec, window) — the
 worker count, the transport (in-process vs pipes), and the start method
 must all be invisible bit for bit.  Everything else here guards the
-operational edges: crash surfacing, fan-out clamping, knob plumbing,
-and the numpy-absent degrade.
+operational edges: crash surfacing, fan-out clamping, knob plumbing.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.engine.pipeline.parallel import (
     DEFAULT_WINDOW,
     ParallelExecutionError,
     ParallelShardSet,
-    default_start_method,
     plan_fanout,
 )
 from repro.engine.pipeline.shard import ShardSpec
@@ -202,7 +200,7 @@ class TestAntiStarvation:
         schedulers (not just the legacy executor path)."""
         spec = ShardSpec(n_shards=2, k=2, anti_starvation=True)
         plane = ParallelShardSet(spec, workers=0, window=4)
-        assert plane._config[3] is True
+        assert plane._config[2] is True
         plane.close()
 
 
@@ -270,31 +268,6 @@ class TestFailureSurfacing:
             service.close()
 
 
-class TestNumpyDegrade:
-    def test_numpy_absent_workers_degrade_identically(self, monkeypatch):
-        """With numpy unavailable, engines silently resolve to the pure-
-        Python core (reported per worker) and reports are unchanged."""
-        txns, log = make_workload(4)
-        base, base_snap = run_windowed(txns, log, parallel=0)
-        assert set(base_snap["parallel"]["decision_cores"].values()) == {
-            "numpy"
-        }
-        monkeypatch.setattr("repro.core.batch.HAVE_NUMPY", False)
-        inline, inline_snap = run_windowed(txns, log, parallel=0)
-        assert set(inline_snap["parallel"]["decision_cores"].values()) == {
-            "python"
-        }
-        assert report_tuple(inline) == report_tuple(base)
-        if default_start_method() == "fork":
-            # Forked workers inherit the patched module: the degrade
-            # happens inside the subprocess and is reported back.
-            procs, procs_snap = run_windowed(txns, log, parallel=2)
-            assert set(
-                procs_snap["parallel"]["decision_cores"].values()
-            ) == {"python"}
-            assert report_tuple(procs) == report_tuple(base)
-
-
 class TestFanoutPlanning:
     def test_jobs_clamped_to_cpus(self):
         assert plan_fanout(8, None, cpu=4) == 4
@@ -326,11 +299,26 @@ class TestKnobPlumbing:
         finally:
             service.close()
 
-    def test_prime_window_tunable_and_validated(self):
-        service = TransactionService(k=2, n_shards=1, prime_window=5)
-        assert service.executor.prime_window == 5
-        with pytest.raises(ValueError, match="prime_window"):
-            TransactionService(k=2, n_shards=1, prime_window=0)
+    def test_decision_core_knob_is_gone(self):
+        """One Definition-6 decision path: the plane reports no per-engine
+        core or priming counters, and the removed knob is rejected as
+        unknown on every surface (no shim, no deprecation path)."""
+        from repro.cli import build_parser
+
+        service = TransactionService(n_shards=4, parallel=0)
+        try:
+            txns, log = make_workload(2)
+            service.submit_programs(txns)
+            service.run(schedule=log)
+            parallel = service.stage_snapshot()["parallel"]
+        finally:
+            service.close()
+        assert "decision_cores" not in parallel
+        assert "primed" not in parallel
+        with pytest.raises(TypeError, match="decision_core"):
+            TransactionService(decision_core="python")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--decision-core", "python"])
 
     def test_invalid_configs_rejected(self):
         spec = ShardSpec(n_shards=2, k=2)
@@ -353,48 +341,3 @@ class TestKnobPlumbing:
         plane.close()
         with pytest.raises(RuntimeError, match="closed"):
             plane.begin_run()
-
-
-class TestPrimedReseedInvalidation:
-    def test_invalidate_primed_drops_refreshed_txns(self):
-        from repro.core.table import TimestampTable
-
-        table = TimestampTable(k=2, decision_core="numpy")
-        if table.decision_core != "numpy":
-            pytest.skip("numpy unavailable; priming is inert")
-        table.prime_requests([(1, "x"), (1, "y"), (2, "x")])
-        assert (1, "x") in table._primed
-        assert (2, "x") in table._primed
-        assert table.invalidate_primed((1,)) == 2
-        assert set(table._primed) == {(2, "x")}
-        assert table.invalidate_primed((7,)) == 0
-
-    def test_primed_and_unprimed_agree_across_reseed(self):
-        """Regression for the ShardEngine reseed path: restart/drop
-        commands and re-shipped reseeded rows refresh replica vectors,
-        which must invalidate any primed decisions speculated against
-        the old rows.  Primed (numpy) and unprimed (python) planes stay
-        bit-identical on a hot workload that exercises the remedy."""
-        rng = random.Random(0)
-        spec = WorkloadSpec(
-            num_txns=10, ops_per_txn=3, num_items=2, write_ratio=0.7
-        )
-        total_restarts = 0
-        for seed in range(6):
-            rng = random.Random(seed)
-            txns = generate_transactions(spec, rng)
-            log = interleave(txns, rng)
-            common = dict(
-                parallel=0, n_shards=2, window=3, anti_starvation=True
-            )
-            plain, _ = run_windowed(
-                txns, log, decision_core="python", **common
-            )
-            primed, _ = run_windowed(
-                txns, log, decision_core="numpy", **common
-            )
-            assert report_tuple(primed) == report_tuple(plain), f"seed {seed}"
-            total_restarts += plain.restarts
-        # The reseed remedy must actually have fired somewhere, or the
-        # sweep pinned nothing.
-        assert total_restarts > 0
