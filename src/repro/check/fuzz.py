@@ -255,6 +255,26 @@ def check_case(
     return violations
 
 
+_REPORT_FIELDS = (
+    "committed",
+    "failed",
+    "restarts",
+    "ops_executed",
+    "ops_reexecuted",
+    "ignored_writes",
+    "undo_count",
+    "committed_ops",
+)
+
+
+def _report_mismatches(got, want) -> list[str]:
+    return [
+        fname
+        for fname in _REPORT_FIELDS
+        if getattr(got, fname) != getattr(want, fname)
+    ]
+
+
 def executor_violations(
     log: Log, oracle: SerializabilityOracle | None = None
 ) -> list[Violation]:
@@ -335,28 +355,7 @@ def pipeline_violations(
             legacy = TransactionExecutor(MTkScheduler(2)).execute(
                 transactions, schedule=log
             )
-        mismatches = [
-            fname
-            for fname, got, want in (
-                ("committed", report.committed, legacy.committed),
-                ("failed", report.failed, legacy.failed),
-                ("restarts", report.restarts, legacy.restarts),
-                ("ops_executed", report.ops_executed, legacy.ops_executed),
-                (
-                    "ops_reexecuted",
-                    report.ops_reexecuted,
-                    legacy.ops_reexecuted,
-                ),
-                (
-                    "ignored_writes",
-                    report.ignored_writes,
-                    legacy.ignored_writes,
-                ),
-                ("undo_count", report.undo_count, legacy.undo_count),
-                ("committed_ops", report.committed_ops, legacy.committed_ops),
-            )
-            if got != want
-        ]
+        mismatches = _report_mismatches(report, legacy)
         if mismatches:
             violations.append(
                 Violation(
@@ -490,32 +489,7 @@ def parallel_violations(
             finally:
                 service.close()
         inline, processed = reports
-        mismatches = [
-            fname
-            for fname, got, want in (
-                ("committed", processed.committed, inline.committed),
-                ("failed", processed.failed, inline.failed),
-                ("restarts", processed.restarts, inline.restarts),
-                ("ops_executed", processed.ops_executed, inline.ops_executed),
-                (
-                    "ops_reexecuted",
-                    processed.ops_reexecuted,
-                    inline.ops_reexecuted,
-                ),
-                (
-                    "ignored_writes",
-                    processed.ignored_writes,
-                    inline.ignored_writes,
-                ),
-                ("undo_count", processed.undo_count, inline.undo_count),
-                (
-                    "committed_ops",
-                    processed.committed_ops,
-                    inline.committed_ops,
-                ),
-            )
-            if got != want
-        ]
+        mismatches = _report_mismatches(processed, inline)
         if mismatches:
             violations.append(
                 Violation(
@@ -544,26 +518,6 @@ def parallel_violations(
 #: (cross-node windows, independent failures).
 RECOVERY_FUZZ_NODES = 2
 RECOVERY_FUZZ_PLANS = 3
-
-_REPORT_FIELDS = (
-    "committed",
-    "failed",
-    "restarts",
-    "ops_executed",
-    "ops_reexecuted",
-    "ignored_writes",
-    "undo_count",
-    "committed_ops",
-)
-
-
-def _report_mismatches(got, want) -> list[str]:
-    return [
-        fname
-        for fname in _REPORT_FIELDS
-        if getattr(got, fname) != getattr(want, fname)
-    ]
-
 
 def _recovery_run(transactions, log, n_shards, window, nodes, fault_plan):
     """One windowed run over the recoverable loopback plane; returns

@@ -309,11 +309,7 @@ class AdmissionQueue:
 
     # ------------------------------------------------------------------
     # Requeue surface (shared with the legacy list in the fast lane:
-    # append/extend have list semantics; ``requeue`` applies the policy).
-    def append(self, txn_id: int) -> None:
-        self._queue.append(txn_id)
-        self.note_depth(len(self._queue) - self._pointer)
-
+    # extend has list semantics; ``requeue`` applies the policy).
     def extend(self, txn_ids: Iterable[int]) -> None:
         self._queue.extend(txn_ids)
         self.note_depth(len(self._queue) - self._pointer)

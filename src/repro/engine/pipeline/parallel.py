@@ -683,7 +683,7 @@ class ParallelShardSet:
         self._item_extras: dict[str, tuple[int, ...]] = {}
         self._engine_stats: dict[int, tuple] = {}
         # mvmt only: seq -> version writer the window's accepted reads
-        # consumed (third decision column); refreshed per run_window.
+        # consumed (third decision column); refreshed per reply merge.
         self.window_sources: dict[int, int] = {}
         self.ipc = self._fresh_ipc()
 
@@ -843,7 +843,6 @@ class ParallelShardSet:
         """
         if self._transport is None:
             raise RuntimeError("call begin_run() before run_window()")
-        self.window_sources.clear()
         commands = self._absorb_commands(commands)
         involved = self._involved(batches, commands)
         if not involved:
@@ -931,6 +930,7 @@ class ParallelShardSet:
         store, item index, engine stats) in deterministic order."""
         decisions: dict[int, int] = {}
         store = self._store
+        self.window_sources.clear()
         for worker_id in sorted(replies):
             for shard_id, shard_decisions, rows, index, stats in replies[
                 worker_id
@@ -998,14 +998,6 @@ class ParallelShardSet:
                 rows.append((txn, values))
                 updates[txn] = version
         return tuple(rows), updates
-
-    def _rows_for(
-        self, shard_id: int, batch: Sequence[tuple[int, int, int, str]]
-    ) -> tuple:
-        """Back-compat wrapper: plan and fold watermarks immediately."""
-        rows, updates = self._plan_rows(shard_id, batch)
-        self._have[shard_id].update(updates)
-        return rows
 
     # ------------------------------------------------------------------
     # Occupancy accounting (coordinator-side, merge order)

@@ -21,16 +21,34 @@ four stages:
    admission.RetryPolicy` (full rollback, VI-C 1 partial rollback, or a
    policy/composite-forced global epoch restart).
 
-Two lanes drive the same stage methods:
+Three lanes drive the same stage methods (``_handle_abort``,
+``_full_rollback``, ``_try_commit`` / ``_release_parked``,
+``_break_dependency_cycle``, ``_global_restart``):
 
 * the **plain fast lane** — taken when the admission queue is plain
   (no batching, no capacity, zero-delay retries, i.e. every legacy
   configuration): the loop iterates the queue's backing list with a
-  local pointer, exactly the monolithic executor's loop, so the
-  refactor costs the hot path nothing;
-* the **staged lane** — everything else: work is pulled through
-  ``AdmissionQueue.pop()``, which meters batches, applies backpressure
-  and matures delayed retries in simulated time.
+  local pointer, exactly the monolithic executor's loop;
+* the **staged lane** — every other sequential configuration: work is
+  pulled through ``AdmissionQueue.pop()``, which meters batches, applies
+  backpressure and matures delayed retries in simulated time;
+* the **windowed lane** — the parallel plane: windows of operations are
+  decided by remote shard engines and merged here in admission order.
+
+The lanes differ in *where the scheduler lives*, and that is the only
+seam: in-process (``_LocalScheduler``), or behind commands that ride the
+next ``run_window`` with the read sources from the engines' replies
+standing in for their read records (``_PlaneSchedulers``).  What a stage
+method tells the scheduler (forget a transaction to restart it, forget
+one that failed, commit one, reset the epoch) and asks it (commit
+dependencies, dependents) goes through ``self._seam``, chosen once in
+``__init__``: the abort path runs about once per executed operation
+under contention, and a per-call ``if plane`` there measured −3 % end to
+end.  One object rather than six bound attributes, because CPython 3.11
+drops an instance's inline attribute values past 30 attributes and every
+``self.x`` on the per-operation path then pays (≈ +1 % wall time; both
+in EXPERIMENTS.md).  ``scheduler.aborted`` is read per call: ``reset()``
+rebinds it.
 
 All randomness is an explicit ``random.Random(seed)`` threaded through
 interleaving and admission — never module-level ``random`` — so a seed
@@ -77,6 +95,98 @@ class _TxnState:
         self.attempt = 1
         self.buffered_writes: list[Operation] = []
         self.executed_this_attempt = 0
+
+
+def _nobody(txn_id: int) -> frozenset[int]:
+    return frozenset()
+
+
+class _LocalScheduler:
+    """The seam's sequential side: the scheduler is in-process."""
+
+    def __init__(self, scheduler: Scheduler, shards: ShardSet | None) -> None:
+        self._scheduler = scheduler
+        self._shards = shards
+        # Uncommitted version writers a transaction read from, and the
+        # active readers of its versions: the multiversion scheduler's
+        # records, nobody under a single-version one.
+        self.commit_dependencies = getattr(
+            scheduler, "commit_dependencies", _nobody
+        )
+        self.dependents_of = getattr(scheduler, "readers_of", _nobody)
+
+    def forget(self, txn_id: int, retrying: bool) -> None:
+        """A rolled-back transaction restarts, or failed for good."""
+        scheduler = self._scheduler
+        aborted = getattr(scheduler, "aborted", None)
+        if aborted is not None and txn_id not in aborted:
+            # Cascade / cycle victim: the scheduler never rejected it, so
+            # no _abort undid its RT/WT index pins and restart() would
+            # balk — roll its scheduler state back directly (failed too:
+            # a dead transaction must not stay an indexed accessor).
+            forget = getattr(scheduler, "cascade_restart", None)
+        elif retrying:
+            forget = getattr(scheduler, "restart", None)
+        else:
+            return  # rejected, then failed: stays marked aborted
+        if callable(forget):
+            forget(txn_id)
+
+    def commit(self, txn_id: int) -> None:
+        if self._shards is not None:
+            self._shards.record_commit(txn_id)
+        commit = getattr(self._scheduler, "commit", None)
+        if callable(commit):
+            commit(txn_id)
+
+    def reset(self) -> None:
+        self._scheduler.reset()
+
+
+class _PlaneSchedulers:
+    """The seam's windowed side: the schedulers are the plane's engines,
+    told things by commands riding the next ``run_window``; the read
+    sources accumulated from their replies answer the two questions."""
+
+    def __init__(self, executor: "PipelineExecutor") -> None:
+        # The plane is read per call: tests swap it after construction.
+        self._executor = executor
+        self.commands: list[tuple] = []
+        self.sources: dict[int, set[int]] = {}  # reader -> version writers
+        self.committed: set[int] = set()
+
+    def begin_run(self, committed: set[int]) -> list[tuple]:
+        self.commands.clear()
+        self.sources.clear()
+        self.committed = committed
+        return self.commands
+
+    def forget(self, txn_id: int, retrying: bool) -> None:
+        self.sources.pop(txn_id, None)
+        self._executor.parallel_plane.note_drop(txn_id)
+        self.commands.append(("restart" if retrying else "drop", txn_id))
+
+    def commit(self, txn_id: int) -> None:
+        self.sources.pop(txn_id, None)
+        self._executor.parallel_plane.record_commit(txn_id)
+        self.commands.append(("commit", txn_id))
+
+    def reset(self) -> None:
+        # Coordinator state goes now, not when the broadcast lands: the
+        # next window is planned against the post-reset world.
+        self.sources.clear()
+        self._executor.parallel_plane.note_reset()
+        self.commands.append(("reset",))
+
+    def commit_dependencies(self, txn_id: int) -> set[int]:
+        return self.sources.get(txn_id, frozenset()) - self.committed
+
+    def dependents_of(self, txn_id: int) -> list[int]:
+        return [
+            reader
+            for reader, sources in self.sources.items()
+            if txn_id in sources
+        ]
 
 
 class PipelineExecutor(Instrumented):
@@ -221,13 +331,18 @@ class PipelineExecutor(Instrumented):
         self._c_restarts = self.metrics.counter("restarts")
         self._c_undo_ops = self.metrics.counter("undo_ops")
         self._c_ops_reexecuted = self.metrics.counter("ops_reexecuted")
-        # Commit-dependency state (multiversion recoverability); rebuilt
-        # per execute() — declared here so helpers stay callable between
-        # runs.
+        # Commit-dependency state (finished transactions parked on the
+        # uncommitted version writers they read); rebuilt per execute(),
+        # declared here so helpers stay callable between runs.
         self._parked: dict[int, set[int]] = {}
-        self._txn_sources: dict[int, set[int]] = {}
         self._releasing = False
         self._states: dict[int, _TxnState] = {}
+        # One attribute, not six bound verbs: see the module docstring.
+        self._seam: _LocalScheduler | _PlaneSchedulers = (
+            _LocalScheduler(scheduler, shards)
+            if self.parallel_plane is None
+            else _PlaneSchedulers(self)
+        )
 
     # ------------------------------------------------------------------
     def execute(
@@ -264,11 +379,7 @@ class PipelineExecutor(Instrumented):
         report = ExecutionReport()
         states = {t.txn_id: _TxnState(t) for t in transactions}
         self._states = states
-        # Commit-dependency state (multiversion recoverability): finished
-        # transactions parked on uncommitted version writers they read,
-        # and (windowed lane) the sources accumulated from reply streams.
         self._parked = {}
-        self._txn_sources = {}
         self._releasing = False
         admission = self._admission
         if arrivals is not None:
@@ -339,10 +450,7 @@ class PipelineExecutor(Instrumented):
                     admission.note_depth(len(queue) - pointer)
             if not self._parked:
                 break
-            # Commit-dependency cycle: every remaining transaction waits
-            # on another parked reader (cross-reads of uncommitted
-            # versions).  Deterministic victim — the lowest id rolls
-            # back; its cascade unparks the rest and the retries land
+            # The victim's cascade unparks the rest and the retries land
             # back on the queue.
             self._break_dependency_cycle(undo, report, queue)
 
@@ -361,11 +469,7 @@ class PipelineExecutor(Instrumented):
             txn_id = admission.pop()
             if txn_id is None:
                 if self._parked:
-                    # Commit-dependency cycle (see _run_plain): restart
-                    # the lowest parked id and keep draining.
-                    self._break_dependency_cycle(
-                        undo, report, admission
-                    )
+                    self._break_dependency_cycle(undo, report, admission)
                     continue
                 break
             state = states[txn_id]
@@ -404,11 +508,13 @@ class PipelineExecutor(Instrumented):
         window_size = self._window
         committed = report.committed
         failed = report.failed
-        pending: list[tuple] = []  # commands riding the next message
+        seam = self._seam  # the plane side
+        commands = seam.begin_run(committed)  # ride the next run_window
         carried: int | None = None  # entry cut by a cross-shard conflict
         while True:
             # ---- plan one window --------------------------------------
             entries: list[tuple[int, int, Operation, int]] = []
+            batches: dict[int, list[tuple[int, int, int, str]]] = {}
             row_owner: dict[int, int] = {}
             planned: dict[int, int] = {}
             while len(entries) < window_size:
@@ -450,42 +556,29 @@ class PipelineExecutor(Instrumented):
                 for row in refs:
                     row_owner[row] = shard
                 planned[txn_id] = position + 1
-                entries.append((len(entries), txn_id, op, shard))
+                batches.setdefault(shard, []).append(
+                    (len(entries), txn_id, 0 if op.kind.is_read else 1, op.item)
+                )
+                entries.append((txn_id, position, op, shard))
             if not entries:
                 if self._parked:
                     # Admission drained but parked readers remain: a
-                    # commit-dependency cycle (see _run_plain).  Restart
-                    # the lowest id; its retries re-enter admission, and
-                    # a sync round delivers the restart commands before
-                    # the next window is planned.
-                    victim = min(self._parked)
-                    self.metrics.inc("dependency_cycle_restarts")
-                    if self.events.enabled:
-                        self.events.emit("dependency_cycle", victim=victim)
-                    self._windowed_abort(
-                        states[victim], undo, report, admission, pending
-                    )
-                    if pending:
-                        plane.run_window({}, tuple(pending))
-                        pending.clear()
+                    # commit-dependency cycle.  The victim's retries
+                    # re-enter admission, and a sync round delivers the
+                    # restart commands before the next window is planned.
+                    self._break_dependency_cycle(undo, report, admission)
+                    plane.run_window({}, tuple(commands))
+                    commands.clear()
                     continue
                 # Run over; trailing commands (commits after the last
                 # window) need no delivery — begin_run() resets engines.
                 break
             # ---- ship -------------------------------------------------
-            batches: dict[int, list[tuple[int, int, int, str]]] = {}
-            for seq, txn_id, op, shard in entries:
-                batches.setdefault(shard, []).append(
-                    (seq, txn_id, 0 if op.kind.is_read else 1, op.item)
-                )
-            decisions = plane.run_window(batches, tuple(pending))
-            pending.clear()
+            decisions = plane.run_window(batches, tuple(commands))
+            commands.clear()
             # ---- merge, in admission order ----------------------------
-            repoints = False
-            rejected_now: set[int] = set()
-            epoch_reset = False
-            for seq, txn_id, op, shard in entries:
-                if epoch_reset:
+            for seq, (txn_id, position, op, shard) in enumerate(entries):
+                if commands and commands[-1][0] == "reset":
                     # Entries past a global restart were decided against
                     # a dead epoch; readmit them in order (the sequential
                     # lane's equivalent entries survive in its queue).
@@ -493,28 +586,16 @@ class PipelineExecutor(Instrumented):
                         admission.extend([txn_id])
                     continue
                 code = decisions[seq]
-                if code == CODE_SKIP or txn_id in rejected_now:
-                    continue
-                if txn_id in failed:
-                    continue
                 state = states[txn_id]
-                if code == CODE_REJECT:
-                    self._c_aborts.inc()
-                    plane.record(shard, op, code)
-                    if self._retry_policy.global_restart:
-                        self._windowed_global_restart(
-                            admission, undo, report, pending
-                        )
-                        epoch_reset = True
-                        continue
-                    repoints = True
-                    rejected_now.update(
-                        self._windowed_abort(
-                            state, undo, report, admission, pending
-                        )
-                    )
+                if code == CODE_SKIP or state.position != position:
+                    # Rolled back (restarted or failed) while this window
+                    # merged: a rollback rewinds to position 0, below
+                    # every position planned after the transaction ran.
                     continue
                 plane.record(shard, op, code)
+                if code == CODE_REJECT:
+                    self._handle_abort(state, undo, report, admission)
+                    continue
                 if code == CODE_IGNORE:
                     report.ignored_writes += 1
                     self._c_ignored_writes.inc()
@@ -523,26 +604,22 @@ class PipelineExecutor(Instrumented):
                         # mvmt: the reply's third decision column names
                         # the version writer this read consumed — a
                         # commit dependency when that writer is still
-                        # in flight (recoverability gate below).
+                        # in flight (_try_commit's recoverability gate).
                         source = plane.window_sources.get(seq)
                         if source and source != txn_id:
-                            self._txn_sources.setdefault(
-                                txn_id, set()
-                            ).add(source)
+                            seam.sources.setdefault(txn_id, set()).add(
+                                source
+                            )
                     self._perform(op, undo, report)
                     state.executed_this_attempt += 1
                 state.position += 1
                 if state.position >= state.txn.num_operations:
-                    rolled = self._windowed_try_commit(
-                        state, undo, report, admission, pending
-                    )
-                    if rolled:
-                        repoints = True
-                        rejected_now.update(rolled)
+                    self._try_commit(state, undo, report, admission)
+            queued = {command[0] for command in commands}
             if (
-                not epoch_reset
+                "commit" in queued
+                and "reset" not in queued
                 and plane.spec.protocol == "mvmt"
-                and any(cmd[0] == "commit" for cmd in pending)
             ):
                 # Chain GC rides the broadcast command stream whenever a
                 # commit could have advanced a per-item watermark.  The
@@ -558,211 +635,15 @@ class PipelineExecutor(Instrumented):
                     and t not in failed
                     and s.position > 0
                 ]
-                pending.append(plane.gc_command(active))
-            if repoints:
-                # Sync round: rejects repointed RT/WT at the rejecting
-                # engines; deliver the restart/drop commands now so every
+                commands.append(plane.gc_command(active))
+            if "restart" in queued or "drop" in queued:
+                # Sync round: a rollback happened while merging, and the
+                # reject behind it repointed RT/WT at the rejecting
+                # engine; deliver the restart/drop commands now so every
                 # replica repoints (and reports the restored indices)
                 # before the next window is planned against item_index.
-                plane.run_window({}, tuple(pending))
-                pending.clear()
-
-    def _windowed_abort(
-        self,
-        state: _TxnState,
-        undo: UndoLog,
-        report: ExecutionReport,
-        admission: AdmissionQueue,
-        pending: list[tuple],
-        _wave: set[int] | None = None,
-        count_attempt: bool = True,
-    ) -> set[int]:
-        """Full-rollback abort for the windowed lane (the only rollback
-        mode the plane supports); mirrors ``_handle_abort`` /
-        ``_full_rollback``, cascading to uncommitted readers of the
-        retracted versions — cascades don't charge the victim's attempt
-        budget (see ``_full_rollback``).  Returns every transaction
-        rolled back in this wave (the merge loop skips their remaining
-        window entries)."""
-        rolled = _wave if _wave is not None else set()
-        txn_id = state.txn.txn_id
-        if txn_id in rolled:
-            return rolled
-        rolled.add(txn_id)
-        undone = undo.rollback(txn_id)
-        report.undo_count += undone
-        self._c_undo_ops.inc(undone)
-        report.ops_reexecuted += state.executed_this_attempt
-        self._c_ops_reexecuted.inc(state.executed_this_attempt)
-        self._drop_executed_ops(txn_id, state, report)
-        state.buffered_writes.clear()
-        state.position = 0
-        state.executed_this_attempt = 0
-        self._parked.pop(txn_id, None)
-        # The coordinator's accumulated sources stand in for the remote
-        # schedulers' read records: dependents are readers that consumed
-        # one of txn_id's (now retracted) versions.
-        self._txn_sources.pop(txn_id, None)
-        dependents = sorted(
-            reader
-            for reader, sources in self._txn_sources.items()
-            if txn_id in sources
-        )
-        self._prune_aborted(txn_id)
-        plane = self.parallel_plane
-        assert plane is not None
-        plane.note_drop(txn_id)
-        if count_attempt and state.attempt >= self.max_attempts:
-            report.failed.add(txn_id)
-            self.metrics.inc("failures")
-            if self.events.enabled:
-                self.events.emit("fail", txn=txn_id, attempts=state.attempt)
-            pending.append(("drop", txn_id))
-        else:
-            if count_attempt:
-                state.attempt += 1
-            report.restarts += 1
-            self._c_restarts.inc()
-            if self.events.enabled:
-                self.events.emit("restart", txn=txn_id, partial=False)
-            pending.append(("restart", txn_id))
-            admission.requeue(txn_id, state.txn.num_operations, state.attempt)
-        for reader in dependents:
-            if (
-                reader in rolled
-                or reader in report.committed
-                or reader in report.failed
-            ):
-                continue
-            reader_state = self._states.get(reader)
-            if reader_state is None:
-                continue
-            self.metrics.inc("cascade_restarts")
-            if self.events.enabled:
-                self.events.emit("cascade", txn=reader, source=txn_id)
-            self._windowed_abort(
-                reader_state, undo, report, admission, pending, rolled,
-                count_attempt=False,
-            )
-        return rolled
-
-    def _windowed_try_commit(
-        self,
-        state: _TxnState,
-        undo: UndoLog,
-        report: ExecutionReport,
-        admission: AdmissionQueue,
-        pending: list[tuple],
-    ) -> set[int]:
-        """Recoverability gate for the windowed lane: park a finished
-        transaction whose reads consumed still-uncommitted versions (the
-        sources accumulated from the reply streams), commit otherwise —
-        then release any parked readers the commit unblocked.  Returns
-        the rolled-back wave when a source can never commit (mirrors
-        ``_try_commit``'s gate; normally empty)."""
-        txn_id = state.txn.txn_id
-        committed = report.committed
-        deps = {
-            s
-            for s in self._txn_sources.get(txn_id, ())
-            if s not in committed
-        }
-        if deps:
-            if deps & report.failed:
-                return self._windowed_abort(
-                    state, undo, report, admission, pending
-                )
-            self._parked[txn_id] = deps
-            self.metrics.inc("commit_parks")
-            if self.events.enabled:
-                self.events.emit("park", txn=txn_id, deps=sorted(deps))
-            return set()
-        self._windowed_commit(state, undo, report, pending)
-        self._txn_sources.pop(txn_id, None)
-        while True:
-            ready = [
-                t
-                for t in sorted(self._parked)
-                if not any(s not in committed for s in self._parked[t])
-            ]
-            if not ready:
-                return set()
-            for t in ready:
-                del self._parked[t]
-                self._windowed_commit(self._states[t], undo, report, pending)
-                self._txn_sources.pop(t, None)
-
-    def _windowed_commit(
-        self,
-        state: _TxnState,
-        undo: UndoLog,
-        report: ExecutionReport,
-        pending: list[tuple],
-    ) -> None:
-        txn_id = state.txn.txn_id
-        undo.commit(txn_id)
-        report.committed.add(txn_id)
-        self.metrics.inc("commits")
-        plane = self.parallel_plane
-        assert plane is not None
-        plane.record_commit(txn_id)
-        self._admission.note_commit(txn_id)
-        if self.events.enabled:
-            self.events.emit("commit", txn=txn_id, attempt=state.attempt)
-        pending.append(("commit", txn_id))
-
-    def _windowed_global_restart(
-        self,
-        admission: AdmissionQueue,
-        undo: UndoLog,
-        report: ExecutionReport,
-        pending: list[tuple],
-    ) -> None:
-        """Algorithm 2 step 4 i) epoch reset over the plane: queue a
-        ``("reset",)`` broadcast, invalidate coordinator state now (the
-        next window is planned against the post-reset world), and roll
-        back every active transaction per ``_global_restart``."""
-        plane = self.parallel_plane
-        assert plane is not None
-        self.metrics.inc("global_restarts")
-        if self.events.enabled:
-            self.events.emit("global_restart")
-        pending.append(("reset",))
-        plane.note_reset()
-        # Epoch reset flushes every chain: parked readers roll back with
-        # everyone else below, so their dependency state goes with them.
-        self._parked.clear()
-        self._txn_sources.clear()
-        for state in self._states.values():
-            txn_id = state.txn.txn_id
-            if txn_id in report.committed or txn_id in report.failed:
-                continue
-            if state.position == 0 and state.executed_this_attempt == 0:
-                continue  # had not started; nothing to roll back
-            undone = undo.rollback(txn_id)
-            report.undo_count += undone
-            self._c_undo_ops.inc(undone)
-            report.ops_reexecuted += state.executed_this_attempt
-            self._c_ops_reexecuted.inc(state.executed_this_attempt)
-            self._drop_executed_ops(txn_id, state, report)
-            state.buffered_writes.clear()
-            state.position = 0
-            state.executed_this_attempt = 0
-            self._prune_aborted(txn_id)
-            if state.attempt >= self.max_attempts:
-                report.failed.add(txn_id)
-                self.metrics.inc("failures")
-                if self.events.enabled:
-                    self.events.emit(
-                        "fail", txn=txn_id, attempts=state.attempt
-                    )
-                continue
-            state.attempt += 1
-            report.restarts += 1
-            self._c_restarts.inc()
-            if self.events.enabled:
-                self.events.emit("restart", txn=txn_id, partial=False)
-            self._requeue_retry(state, admission)
+                plane.run_window({}, tuple(commands))
+                commands.clear()
 
     # ------------------------------------------------------------------
     def _step(
@@ -777,7 +658,7 @@ class PipelineExecutor(Instrumented):
 
         *queue* is either the plain backing list (fast lane) or the
         admission queue itself (staged lane) — both support the
-        ``append``/``extend`` surface the retry paths use.
+        ``extend`` surface the retry paths use.
         """
         if self._deferred and op.kind is OpKind.WRITE:
             state.buffered_writes.append(op)
@@ -795,6 +676,7 @@ class PipelineExecutor(Instrumented):
                 # roll back, reinitialize, restart (epoch reset; committed
                 # work is strictly in the past so cross-epoch serialization
                 # order is trivially consistent).
+                self._c_aborts.inc()
                 self._global_restart(undo, report, queue)
             else:
                 self._handle_abort(state, undo, report, queue)
@@ -841,7 +723,7 @@ class PipelineExecutor(Instrumented):
         # Committing now would be a dirty read the serial replay cannot
         # reproduce — park until every source commits; if a source rolls
         # back instead, the cascade restarts this transaction.
-        deps = self._commit_dependencies(txn_id)
+        deps = self._seam.commit_dependencies(txn_id)
         if deps:
             if deps & report.failed:
                 # A source can never commit: the read is unrecoverable.
@@ -880,22 +762,10 @@ class PipelineExecutor(Instrumented):
         report.committed.add(txn_id)
         self.metrics.inc("commits")
         self._admission.note_commit(txn_id)
-        if shards is not None:
-            shards.record_commit(txn_id)
         if self.events.enabled:
             self.events.emit("commit", txn=txn_id, attempt=state.attempt)
-        commit = getattr(self.scheduler, "commit", None)
-        if callable(commit):
-            commit(txn_id)
+        self._seam.commit(txn_id)
         self._release_parked(undo, report, queue)
-
-    def _commit_dependencies(self, txn_id: int) -> set[int]:
-        """Uncommitted version writers *txn_id* read from (empty for
-        single-version schedulers — the gate is a no-op there)."""
-        fn = getattr(self.scheduler, "commit_dependencies", None)
-        if fn is None:
-            return set()
-        return fn(txn_id)
 
     def _release_parked(
         self, undo: UndoLog, report: ExecutionReport, queue: Any
@@ -909,16 +779,15 @@ class PipelineExecutor(Instrumented):
         if self._releasing or not self._parked:
             return
         self._releasing = True
+        dependencies = self._seam.commit_dependencies
         try:
             while True:
                 ready = [
-                    t
-                    for t in sorted(self._parked)
-                    if not self._commit_dependencies(t)
+                    t for t in sorted(self._parked) if not dependencies(t)
                 ]
                 progressed = False
                 for t in ready:
-                    if t not in self._parked or self._commit_dependencies(t):
+                    if t not in self._parked or dependencies(t):
                         continue  # a sibling release/abort intervened
                     del self._parked[t]
                     self._try_commit(self._states[t], undo, report, queue)
@@ -937,18 +806,26 @@ class PipelineExecutor(Instrumented):
     ) -> None:
         txn_id = state.txn.txn_id
         self._c_aborts.inc()
-        partial_ok = self._partial and txn_id in getattr(
-            self.scheduler, "partial_ok", ()
+        # A partial restart spends the attempt budget too: otherwise two
+        # transactions re-seeding past each other reissue their failed
+        # operations forever.  Budget gone: full rollback, which fails.
+        partial_ok = (
+            self._partial
+            and state.attempt < self.max_attempts
+            and txn_id in getattr(self.scheduler, "partial_ok", ())
         )
         if partial_ok:
             # VI-C 1: effects preserved; resume at the failed operation.
+            state.attempt += 1
             self.scheduler.restart(txn_id)
             report.restarts += 1
             self._c_restarts.inc()
             if self.events.enabled:
                 self.events.emit("restart", txn=txn_id, partial=True)
-            queue.append(txn_id)  # the failed op will be reissued
-            self._requeue_remaining(state, queue)
+            # The failed op is reissued, then the rest of the program.
+            queue.extend(
+                [txn_id] * (state.txn.num_operations - state.position)
+            )
             return
         if self._retry_policy.global_restart:
             # Policy escalation: treat every full abort as the Algorithm 2
@@ -956,6 +833,62 @@ class PipelineExecutor(Instrumented):
             self._global_restart(undo, report, queue)
             return
         self._full_rollback(state, undo, report, queue)
+
+    def _discard_attempt(
+        self, state: _TxnState, undo: UndoLog, report: ExecutionReport
+    ) -> None:
+        """Undo the attempt's writes, take its operations off the
+        committed-ops record and rewind the program to its start."""
+        txn_id = state.txn.txn_id
+        undone = undo.rollback(txn_id)
+        report.undo_count += undone
+        self._c_undo_ops.inc(undone)
+        to_drop = state.executed_this_attempt
+        report.ops_reexecuted += to_drop
+        self._c_ops_reexecuted.inc(to_drop)
+        # The attempt's operations all sit near the tail of the record:
+        # walk backwards and delete in place, so each ``del`` shifts
+        # only the short suffix behind it.
+        ops = report.committed_ops
+        index = len(ops) - 1
+        while to_drop and index >= 0:
+            if ops[index].txn == txn_id:
+                del ops[index]
+                to_drop -= 1
+            index -= 1
+        state.buffered_writes.clear()
+        state.position = 0
+        state.executed_this_attempt = 0
+
+    def _retry_or_fail(
+        self,
+        state: _TxnState,
+        report: ExecutionReport,
+        queue: Any,
+        count_attempt: bool = True,
+    ) -> bool:
+        """Readmit a discarded attempt through the retry policy (True),
+        or fail the transaction once its attempt budget is spent."""
+        txn_id = state.txn.txn_id
+        if count_attempt:
+            if state.attempt >= self.max_attempts:
+                report.failed.add(txn_id)
+                self.metrics.inc("failures")
+                if self.events.enabled:
+                    self.events.emit("fail", txn=txn_id, attempts=state.attempt)
+                return False
+            state.attempt += 1
+        report.restarts += 1
+        self._c_restarts.inc()
+        if self.events.enabled:
+            self.events.emit("restart", txn=txn_id, partial=False)
+        count = state.txn.num_operations
+        if queue is self._admission:
+            queue.requeue(txn_id, count, state.attempt)
+        else:  # fast lane: at the tail, legacy order
+            queue.extend([txn_id] * count)
+            self._admission.note_retry()
+        return True
 
     def _full_rollback(
         self,
@@ -965,12 +898,12 @@ class PipelineExecutor(Instrumented):
         queue: Any,
         _wave: set[int] | None = None,
         count_attempt: bool = True,
-    ) -> set[int]:
+    ) -> None:
         """Full rollback: undo writes, discard the attempt, retry or
         fail — then cascade to uncommitted readers of the retracted
         versions (their reads now dangle; a committed reader cannot
-        exist, the commit-dependency gate held it back).  Returns every
-        transaction rolled back in this wave.
+        exist, the commit-dependency gate held it back).  *_wave* is
+        every transaction already rolled back by this cascade.
 
         Cascaded rollbacks don't charge the victim's attempt budget —
         the conflict evidence belongs to the *source*, whose own aborts
@@ -979,53 +912,14 @@ class PipelineExecutor(Instrumented):
         rolled = _wave if _wave is not None else set()
         txn_id = state.txn.txn_id
         if txn_id in rolled:
-            return rolled
+            return
         rolled.add(txn_id)
-        undone = undo.rollback(txn_id)
-        report.undo_count += undone
-        self._c_undo_ops.inc(undone)
-        report.ops_reexecuted += state.executed_this_attempt
-        self._c_ops_reexecuted.inc(state.executed_this_attempt)
-        self._drop_executed_ops(txn_id, state, report)
-        state.buffered_writes.clear()
-        state.position = 0
-        state.executed_this_attempt = 0
+        self._discard_attempt(state, undo, report)
         self._parked.pop(txn_id, None)
-        dependents = self._dependents_of(txn_id)
+        dependents = self._seam.dependents_of(txn_id)
         self._prune_aborted(txn_id)
-        if count_attempt and state.attempt >= self.max_attempts:
-            report.failed.add(txn_id)
-            self.metrics.inc("failures")
-            if self.events.enabled:
-                self.events.emit("fail", txn=txn_id, attempts=state.attempt)
-            aborted = getattr(self.scheduler, "aborted", None)
-            if aborted is not None and txn_id not in aborted:
-                # Cascade-failed: the scheduler never rejected it, so no
-                # _abort undid its RT/WT index pins — do it now (a dead
-                # transaction must not stay any item's indexed accessor).
-                forced = getattr(self.scheduler, "cascade_restart", None)
-                if callable(forced):
-                    forced(txn_id)
-        else:
-            if count_attempt:
-                state.attempt += 1
-            report.restarts += 1
-            self._c_restarts.inc()
-            if self.events.enabled:
-                self.events.emit("restart", txn=txn_id, partial=False)
-            restart = getattr(self.scheduler, "restart", None)
-            if callable(restart):
-                aborted = getattr(self.scheduler, "aborted", None)
-                if aborted is None or txn_id in aborted:
-                    restart(txn_id)
-                else:
-                    # Cascade / cycle victim: the scheduler never
-                    # rejected this transaction, so restart() would balk
-                    # — roll its scheduler state back directly.
-                    forced = getattr(self.scheduler, "cascade_restart", None)
-                    if callable(forced):
-                        forced(txn_id)
-            self._requeue_retry(state, queue)
+        retrying = self._retry_or_fail(state, report, queue, count_attempt)
+        self._seam.forget(txn_id, retrying)
         for reader in sorted(dependents):
             if (
                 reader in rolled
@@ -1043,7 +937,6 @@ class PipelineExecutor(Instrumented):
                 reader_state, undo, report, queue, rolled,
                 count_attempt=False,
             )
-        return rolled
 
     def _break_dependency_cycle(
         self, undo: UndoLog, report: ExecutionReport, queue: Any
@@ -1059,14 +952,6 @@ class PipelineExecutor(Instrumented):
             self.events.emit("dependency_cycle", victim=victim)
         self._full_rollback(self._states[victim], undo, report, queue)
 
-    def _dependents_of(self, txn_id: int) -> set[int]:
-        """Active transactions holding a read sourced from *txn_id* (the
-        multiversion scheduler's recorded readers; empty otherwise)."""
-        fn = getattr(self.scheduler, "readers_of", None)
-        if fn is None:
-            return set()
-        return fn(txn_id)
-
     def _prune_aborted(self, txn_id: int) -> None:
         """Retract an aborted attempt's versions from every chain holder.
 
@@ -1081,25 +966,16 @@ class PipelineExecutor(Instrumented):
             if callable(prune):
                 prune(txn_id)
 
-    def _requeue_retry(self, state: _TxnState, queue: Any) -> None:
-        """Readmit a fully-rolled-back transaction through the retry
-        policy (staged lane) or at the tail (fast lane, legacy order)."""
-        count = state.txn.num_operations
-        if queue is self._admission:
-            queue.requeue(state.txn.txn_id, count, state.attempt)
-        else:
-            queue.extend([state.txn.txn_id] * count)
-            self._admission.note_retry()
-
     def _global_restart(
         self, undo: UndoLog, report: ExecutionReport, queue: Any
     ) -> None:
-        self.scheduler.reset()
+        """Algorithm 2 step 4 i) epoch reset: reinitialize the scheduler
+        and roll back every transaction that had started.  The caller
+        has counted the rejected operation."""
+        self._seam.reset()
         # Epoch reset flushes every chain: parked readers roll back with
         # everyone else below, so their dependency state goes with them.
         self._parked.clear()
-        self._txn_sources.clear()
-        self._c_aborts.inc()
         self.metrics.inc("global_restarts")
         if self.events.enabled:
             self.events.emit("global_restart")
@@ -1109,52 +985,9 @@ class PipelineExecutor(Instrumented):
                 continue
             if state.position == 0 and state.executed_this_attempt == 0:
                 continue  # had not started; nothing to roll back
-            undone = undo.rollback(txn_id)
-            report.undo_count += undone
-            self._c_undo_ops.inc(undone)
-            report.ops_reexecuted += state.executed_this_attempt
-            self._c_ops_reexecuted.inc(state.executed_this_attempt)
-            self._drop_executed_ops(txn_id, state, report)
-            state.buffered_writes.clear()
-            state.position = 0
-            state.executed_this_attempt = 0
+            self._discard_attempt(state, undo, report)
             self._prune_aborted(txn_id)
-            if state.attempt >= self.max_attempts:
-                report.failed.add(txn_id)
-                self.metrics.inc("failures")
-                if self.events.enabled:
-                    self.events.emit("fail", txn=txn_id, attempts=state.attempt)
-                continue
-            state.attempt += 1
-            report.restarts += 1
-            self._c_restarts.inc()
-            if self.events.enabled:
-                self.events.emit("restart", txn=txn_id, partial=False)
-            self._requeue_retry(state, queue)
-
-    def _requeue_remaining(self, state: _TxnState, queue: Any) -> None:
-        remaining = state.txn.num_operations - state.position - 1
-        queue.extend([state.txn.txn_id] * max(0, remaining))
-
-    def _drop_executed_ops(
-        self, txn_id: int, state: _TxnState, report: ExecutionReport
-    ) -> None:
-        """Remove the aborted attempt's operations from the committed-ops
-        record (they were rolled back).
-
-        The attempt's operations all sit near the tail, so walk backwards
-        and delete in place — each ``del`` only shifts the short suffix
-        behind it, instead of rebuilding the whole record per abort."""
-        to_drop = state.executed_this_attempt
-        if not to_drop:
-            return
-        ops = report.committed_ops
-        index = len(ops) - 1
-        while to_drop and index >= 0:
-            if ops[index].txn == txn_id:
-                del ops[index]
-                to_drop -= 1
-            index -= 1
+            self._retry_or_fail(state, report, queue)
 
     # ------------------------------------------------------------------
     # Stage introspection (bench v2, sessions frontend)

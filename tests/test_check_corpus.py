@@ -25,12 +25,14 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 # The one case that carries transaction programs + a service seed instead
 # of a flat log; test_service_run_is_serializable owns it.
 SERVICE_CASE = CORPUS_DIR / "mt3-line9-maximal-restore.json"
-# recovery_*.json cases carry a fault plan + report expectation, not an
-# acceptance vector; tests/test_recovery.py owns their drift checks.
+# recovery_*.json and windowed_*.json cases carry a service configuration
+# + report expectation, not an acceptance vector; tests/test_recovery.py
+# owns their drift checks.
 CASES = sorted(
     path
     for path in CORPUS_DIR.glob("*.json")
-    if not path.stem.startswith("recovery_") and path != SERVICE_CASE
+    if not path.stem.startswith(("recovery_", "windowed_"))
+    and path != SERVICE_CASE
 )
 
 

@@ -295,6 +295,32 @@ class TestRetryPolicies:
         if report.restarts:
             assert executor.stats["global_restarts"] > 0
 
+    @pytest.mark.parametrize("policy", ["immediate", "global-restart"])
+    @pytest.mark.parametrize(
+        "lane",
+        [
+            dict(n_shards=2),
+            dict(n_shards=2, batch_size=4),
+            dict(n_shards=2, parallel=0, window=8),
+        ],
+        ids=["plain", "staged", "windowed"],
+    )
+    def test_aborts_counts_rejected_operations_on_every_lane(
+        self, lane, policy
+    ):
+        """``aborts`` is "operations the scheduler rejected", whatever
+        the lane and whatever the policy then does about it."""
+        txns = _workload(5, num_txns=40)
+        with TransactionService(k=2, retry_policy=policy, **lane) as service:
+            service.submit_programs(txns)
+            service.run(seed=5)
+            rejected = sum(
+                shard["rejected"]
+                for shard in service.stage_snapshot()["shards"]
+            )
+            assert rejected > 0
+            assert service.executor.stats["aborts"] == rejected
+
 
 class TestAdmissionQueue:
     def test_plain_detection(self):

@@ -618,3 +618,49 @@ class TestRecoveryCorpus:
             fault_plan=FaultPlan.from_dict(case["plan"]),
         )
         assert report_tuple(got) == report_tuple(base)
+
+
+# ----------------------------------------------------------------------
+# Frozen windowed-lane corpus (drift test)
+# ----------------------------------------------------------------------
+WINDOWED_CASES = sorted(CORPUS_DIR.glob("windowed_*.json"))
+
+
+class TestWindowedCorpus:
+    """The ``recovery_*`` cases pin MT(k) over 2PC only; these pin the
+    windowed lane's parks, cascades, failures and epoch resets on the
+    in-process plane: every report field, every executor counter and
+    the ``ipc`` block."""
+
+    def test_corpus_present(self):
+        assert len(WINDOWED_CASES) >= 3
+
+    @pytest.mark.parametrize(
+        "path", WINDOWED_CASES, ids=lambda p: p.stem
+    )
+    def test_report_stats_and_ipc_are_frozen(self, path):
+        from repro.model.log import Log
+
+        case = _load_recovery_case(path)
+        log = Log.parse(case["log"])
+        with TransactionService(**case["service"]) as service:
+            service.submit_programs(log.transactions.values())
+            got = service.run(schedule=log)
+            stats = dict(service.executor.stats)
+            ipc = service.stage_snapshot()["parallel"]["ipc"]
+        expect = case["expect"]
+        assert sorted(got.committed) == expect["committed"]
+        assert sorted(got.failed) == expect["failed"]
+        for field in (
+            "restarts",
+            "ops_executed",
+            "ops_reexecuted",
+            "ignored_writes",
+            "undo_count",
+        ):
+            assert getattr(got, field) == expect[field], field
+        assert [str(op) for op in got.committed_ops] == expect[
+            "committed_ops"
+        ]
+        assert stats == expect["stats"]
+        assert ipc == expect["ipc"]
