@@ -16,8 +16,6 @@ outcomes against the paper's (empirically verified) class hierarchy:
 * a flat log accepted by MVMT(k) must be *view-equivalent* to the serial
   replay in the scheduler's own serialization order — multiversion
   correctness is view-level, not conflict-level (``mv-view``);
-* MT(k) decisions must be bit-identical with the Definition 6 comparison
-  cache disabled (``cache-equivalence``, the hot-path guard);
 * end-to-end executor runs (immediate/deferred writes, full/partial
   rollback, anti-starvation, optimistic validation) must commit a DSR
   projection with disjoint committed/failed sets (``executor-dsr``,
@@ -158,7 +156,6 @@ def check_case(
     matrix: Mapping[str, SchedulerFactory] | None = None,
     oracle: SerializabilityOracle | None = None,
     run_executor: bool = True,
-    check_cache: bool = True,
     check_parallel: bool = False,
     check_recovery: bool = False,
     check_mvcc: bool = False,
@@ -223,22 +220,6 @@ def check_case(
                     text,
                     "MVMT(2) reads-from differs from serial replay in its "
                     f"own serialization order {order}",
-                )
-            )
-
-    if check_cache:
-        baseline = MTkScheduler(3).run(log)
-        uncached = MTkScheduler(3, compare_cache=0).run(log)
-        same_statuses = [d.status for d in baseline.decisions] == [
-            d.status for d in uncached.decisions
-        ]
-        if not same_statuses or baseline.aborted != uncached.aborted:
-            violations.append(
-                Violation(
-                    "cache-equivalence",
-                    text,
-                    "MT(3) decisions differ between compare_cache=0 and "
-                    "the default cache",
                 )
             )
 

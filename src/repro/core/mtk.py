@@ -39,12 +39,7 @@ from ..model.dependency import DependencyGraph
 from ..model.operations import Operation, OpKind
 from ..obs.instrument import Instrumented
 from .protocol import Decision, DecisionStatus, Scheduler
-from .table import (
-    DEFAULT_COMPARE_CACHE,
-    EncodingPolicy,
-    TimestampTable,
-    VIRTUAL_TXN,
-)
+from .table import EncodingPolicy, TimestampTable, VIRTUAL_TXN
 from .timestamp import Counters, Ordering, TimestampVector, UNDEFINED, compare
 
 
@@ -64,17 +59,12 @@ class MTkScheduler(Instrumented, Scheduler):
         encoding: EncodingPolicy | None = None,
         counters: Counters | None = None,
         trace: bool = False,
-        compare_cache: int = DEFAULT_COMPARE_CACHE,
     ) -> None:
         if k < 1:
             raise ValueError("vector size k must be at least 1")
         if read_rule not in self.READ_RULES:
             raise ValueError(f"read_rule must be one of {self.READ_RULES}")
         self.k = k
-        #: bound of the table's Definition 6 comparison cache; 0 disables
-        #: it (decisions are identical either way — see the decision-
-        #: equivalence property test).
-        self.compare_cache = compare_cache
         self.read_rule = read_rule
         self.thomas_write_rule = thomas_write_rule
         self.anti_starvation = anti_starvation
@@ -116,10 +106,7 @@ class MTkScheduler(Instrumented, Scheduler):
             )
         self._first_reset = False
         self.table = TimestampTable(
-            self.k,
-            counters=counters,
-            encoding=self._encoding,
-            cache_size=self.compare_cache,
+            self.k, counters=counters, encoding=self._encoding
         )
         self.aborted: set[int] = set()
         self.committed: set[int] = set()
@@ -445,9 +432,6 @@ class MTkScheduler(Instrumented, Scheduler):
         """Registry dump with the derived gauges refreshed first."""
         self.metrics.set_gauge("table_size", self.table_size)
         self.metrics.set_gauge("element_visits", self.table.element_visits)
-        cache = self.table.cache_info()
-        self.metrics.set_gauge("compare_cache_hits", cache["hits"])
-        self.metrics.set_gauge("compare_cache_misses", cache["misses"])
         return super().metrics_snapshot()
 
     def table_snapshot(self) -> Mapping[int, tuple[Any, ...]] | None:

@@ -22,7 +22,6 @@ from typing import Callable
 
 from .timestamp import (
     Comparison,
-    ComparisonCache,
     Counters,
     Element,
     Ordering,
@@ -33,9 +32,6 @@ from .timestamp import (
 
 #: Transaction id of the virtual initial transaction.
 VIRTUAL_TXN = 0
-
-#: Default bound of the per-table comparison cache (0 disables caching).
-DEFAULT_COMPARE_CACHE = 4096
 
 #: Transaction ids below this bound live in the dense slab; anything
 #: larger (or negative) spills into a dict so pathological ids cannot
@@ -242,11 +238,9 @@ class TimestampTable:
 
     Storage is a dense txn-id-indexed slab (transaction ids are small
     consecutive integers in every workload), with a dict spill for outliers;
-    row lookup on the scheduling hot path is one list index.  Definition 6
-    comparisons issued by :meth:`set_less`/:meth:`latest_accessor` go
-    through a bounded :class:`~repro.core.timestamp.ComparisonCache`
-    (``cache_size=0`` disables it — decisions are identical either way, the
-    cache only skips redundant rescans of unmutated vectors).
+    row lookup on the scheduling hot path is one list index.  Every
+    Definition 6 decision is one :func:`~repro.core.timestamp.compare`
+    scan of at most ``k`` elements.
     """
 
     def __init__(
@@ -254,7 +248,6 @@ class TimestampTable:
         k: int,
         counters: Counters | None = None,
         encoding: EncodingPolicy | None = None,
-        cache_size: int = DEFAULT_COMPARE_CACHE,
     ) -> None:
         if k < 1:
             raise ValueError("vector size k must be at least 1")
@@ -267,11 +260,10 @@ class TimestampTable:
         self._spill: dict[int, TimestampVector] = {}
         self._rt: dict[str, int] = {}
         self._wt: dict[str, int] = {}
-        self._cache = ComparisonCache(cache_size) if cache_size > 0 else None
         #: element-comparison cost counter: every Definition 6 comparison
-        #: adds its deciding position m (<= k).  This is the unit the
-        #: O(nqk) analysis of Section III-D-3 counts.  Cache hits add
-        #: nothing — no elements were visited.
+        #: issued by :meth:`set_less` / :meth:`latest_accessor` /
+        #: :meth:`order_after_latest` adds its deciding position m (<= k).
+        #: This is the unit the O(nqk) analysis of Section III-D-3 counts.
         self.element_visits = 0
 
     # ------------------------------------------------------------------
@@ -335,15 +327,9 @@ class TimestampTable:
                 f"T{txn} is still the most recent accessor of some item"
             )
         if 0 <= txn < len(self._slab):
-            row = self._slab[txn]
             self._slab[txn] = None
         else:
-            row = self._spill.pop(txn, None)
-        if row is not None and self._cache is not None:
-            # Cache entries pin strong references to both vectors: without
-            # the purge the reclaimed row stays alive (keyed by a now-dead
-            # transaction id) until FIFO eviction rotates it out.
-            self._cache.purge(row)
+            self._spill.pop(txn, None)
 
     def rt(self, item: str) -> int:
         """``RT(x)``: id of the most recent reader (initially ``T_0``)."""
@@ -394,42 +380,24 @@ class TimestampTable:
         return j, self.set_less(j, i, item)
 
     # ------------------------------------------------------------------
-    # Cached comparisons
+    # Definition 6 comparisons
     # ------------------------------------------------------------------
     def _compare_counted(
         self, left: TimestampVector, right: TimestampVector
     ) -> Comparison:
-        """Definition 6 through the cache, charging ``element_visits`` only
-        when elements were actually rescanned (a cache miss)."""
-        cache = self._cache
-        if cache is None:
-            comparison = compare(left, right)
-            self.element_visits += comparison.position
-            return comparison
-        hits_before = cache.hits
-        comparison = cache.compare(left, right)
-        if cache.hits == hits_before:
-            self.element_visits += comparison.position
+        """Definition 6, charging the deciding position to
+        ``element_visits``."""
+        comparison = compare(left, right)
+        self.element_visits += comparison.position
         return comparison
 
     def compare_vectors(
         self, left: TimestampVector, right: TimestampVector
     ) -> Comparison:
-        """Cached (uncounted) comparison for scheduler-side checks that sit
-        outside the paper's O(nqk) cost accounting — the lines 9-10 read
-        fallback, the Thomas write rule, abort-time index restoration."""
-        cache = self._cache
-        if cache is None:
-            return compare(left, right)
-        return cache.compare(left, right)
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss/size counters of the comparison cache (zeros when the
-        cache is disabled)."""
-        cache = self._cache
-        if cache is None:
-            return {"hits": 0, "misses": 0, "size": 0}
-        return {"hits": cache.hits, "misses": cache.misses, "size": len(cache)}
+        """Uncounted comparison for scheduler-side checks that sit outside
+        the paper's O(nqk) cost accounting — the lines 9-10 read fallback,
+        the Thomas write rule, abort-time index restoration."""
+        return compare(left, right)
 
     # ------------------------------------------------------------------
     # The Set procedure

@@ -331,6 +331,16 @@ def is_greater(left: TimestampVector, right: TimestampVector) -> bool:
     return compare(left, right).ordering is Ordering.GREATER
 
 
+# FENCED RESIDUE — nothing in ``src/`` references this class.  The table
+# decides Definition 6 with :func:`compare` alone: measured, a cache hit
+# cost what a k=3 compare costs and a miss several times that
+# (EXPERIMENTS.md, "ComparisonCache").  The class body, the ``_mask`` / ``_flushes`` vector
+# fields it reads and its unit tests (``TestComparisonCache``,
+# ``TestCopyPreservesEpochs``) stay byte-for-byte only because
+# ``benchmarks/perf/trace.py`` — frozen outside benchmark PRs — resolves
+# ``ComparisonCache.compare`` and the harness asserts every patch target
+# exists.  The next benchmark PR drops the ``timestamp.compare`` row of
+# ``trace.PATCHES`` and deletes all three together (ROADMAP item 3(d)).
 class ComparisonCache:
     """Bounded memo for Definition 6 comparisons over live vector pairs.
 

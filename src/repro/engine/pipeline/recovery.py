@@ -192,6 +192,10 @@ class DataNode:
                 {"type": "decision", "window": window, "verdict": verdict}
             )
             self._decisions[window] = verdict
+            # A duplicate prepare is on the wire back-to-back with the
+            # original, before any vote is read — once the decision is
+            # logged no copy can still arrive, so the vote is dead weight.
+            self._votes.pop(window, None)
             if verdict == "abort":
                 if window in self._applied:
                     # Tentatively applied: roll back to committed prefix.

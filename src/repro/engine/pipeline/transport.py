@@ -33,7 +33,7 @@ import json
 import multiprocessing
 import os
 import socket
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .faults import FaultPlan
 from .parallel import ParallelExecutionError, default_start_method
@@ -438,9 +438,3 @@ class TcpTransport(_FaultingEndpoint):
                 pass
         self._nodes.clear()
         self._expect.clear()
-
-
-TRANSPORTS: dict[str, Callable] = {
-    "loopback": LoopbackTransport,
-    "tcp": TcpTransport,
-}

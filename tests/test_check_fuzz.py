@@ -132,13 +132,20 @@ class TestCampaign:
 
 
 class TestCacheEquivalenceRule:
+    """The ``cache-equivalence`` rule went with the comparison cache it
+    guarded; its sanity log stays as a check of the acceptance rules."""
+
     def test_rule_is_active(self):
-        # Sanity: the rule runs and passes on a conflict-heavy log.
+        # Sanity: the acceptance rules run and pass on a conflict-heavy log.
         violations = check_case(
             Log.parse("W1[x] W2[x] R3[x] W3[y] R1[y]"),
             run_executor=False,
         )
         assert violations == []
+
+    def test_check_cache_knob_is_gone(self):
+        with pytest.raises(TypeError, match="check_cache"):
+            check_case(Log.parse("W1[x] R2[x]"), check_cache=False)
 
 
 class TestParallelEquivalenceRule:

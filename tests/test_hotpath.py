@@ -1,25 +1,21 @@
-"""Hot-path engine tests: comparison cache, interning, slab table,
+"""Hot-path engine tests: interning, slab table, frozen decision traces,
 zero-cost tracing, and the parallel bench fan-out.
 
 The load-bearing property throughout: every optimization is *decision
-invariant* — the cache, the slab, the interning, and the disabled tracing
-may change how fast the scheduler runs, never what it decides.
+invariant* — the slab, the interning, and the disabled tracing may change
+how fast the scheduler runs, never what it decides.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import pytest
 
 from repro.core.mtk import MTkScheduler
-from repro.core.table import (
-    DEFAULT_COMPARE_CACHE,
-    TimestampTable,
-    VIRTUAL_TXN,
-    _SLAB_LIMIT,
-)
+from repro.core.table import TimestampTable, VIRTUAL_TXN, _SLAB_LIMIT
 from repro.core.timestamp import (
     Comparison,
     ComparisonCache,
@@ -221,27 +217,27 @@ class TestSlabTable:
         # joining T0's always-defined zero
         assert len(table.column(1)) == 3
 
-    def test_cache_info_exposes_hits(self):
-        table = TimestampTable(3)
-        table.set_less(1, 2)  # EQUAL, then encoded: masks change → miss
-        table.set_less(1, 2)  # recomputes the now-LESS verdict: miss
-        table.set_less(1, 2)  # decided and masks unchanged: hit
-        info = table.cache_info()
-        assert info["hits"] >= 1 and info["misses"] >= 1
-        disabled = TimestampTable(3, cache_size=0)
-        disabled.set_less(1, 2)
-        assert disabled.cache_info() == {"hits": 0, "misses": 0, "size": 0}
+    def test_cache_knobs_are_gone(self):
+        """One Definition-6 compare path: the comparison cache's selectors
+        are rejected as unknown arguments (no shim), and the table exposes
+        nothing to observe a cache with."""
+        with pytest.raises(TypeError, match="cache_size"):
+            TimestampTable(3, cache_size=0)
+        with pytest.raises(TypeError, match="compare_cache"):
+            MTkScheduler(3, compare_cache=0)
+        scheduler = MTkScheduler(3)
+        assert not hasattr(scheduler.table, "cache_info")
+        gauges = scheduler.metrics_snapshot()["gauges"]
+        assert not any("cache" in name for name in gauges)
 
 
-def _decision_trace(compare_cache: int, anti_starvation: bool, seed: int):
+def _decision_trace(anti_starvation: bool, seed: int):
     """Run a seeded hotspot workload; return the full decision sequence."""
     spec = WorkloadSpec(
         num_txns=8, ops_per_txn=4, num_items=6, write_ratio=0.5, skew=1.5
     )
     transactions = generate_transactions(spec, random.Random(seed))
-    scheduler = MTkScheduler(
-        3, anti_starvation=anti_starvation, compare_cache=compare_cache
-    )
+    scheduler = MTkScheduler(3, anti_starvation=anti_starvation)
     recorded = []
     original = scheduler.process
 
@@ -262,29 +258,90 @@ def _decision_trace(compare_cache: int, anti_starvation: bool, seed: int):
     return recorded, summary
 
 
-class TestCacheDecisionEquivalence:
+#: ``(anti_starvation, seed) -> (decisions, summary, sha256 of the JSON
+#: decision sequence)`` as produced at commit 13183e7 with the default
+#: 4,096-entry comparison cache (and, identically, with the cache off).
+FROZEN_TRACES = {
+    (False, 0): (
+        81,
+        ([1, 2, 4, 5, 6, 7, 8], [3], 18, 62),
+        "37fc091d61768f7f77d54bea6539e1638d95c734fe1e4dc801032e52cbea9c59",
+    ),
+    (False, 1): (
+        103,
+        ([1, 2, 3, 5, 8], [4, 6, 7], 24, 76),
+        "93f038130630acf46737e4226a583c6df7add37c9a3a5e9762d10d8744b49af6",
+    ),
+    (False, 2): (
+        81,
+        ([1, 2, 3, 4, 5, 7, 8], [6], 18, 62),
+        "3a6383665e1e4287f13b5eb6808ee7742107638a2ccee9089e4aa57edf8c2590",
+    ),
+    (False, 3): (
+        62,
+        ([1, 2, 3, 4, 5, 6, 7, 8], [], 13, 49),
+        "8c9ce3b61b1097264f23bafd7ca14e9fb4c8068097bc9e0907a2d69ba7c71cb4",
+    ),
+    (False, 4): (
+        96,
+        ([1, 6, 7, 8], [2, 3, 4, 5], 25, 67),
+        "c5b3aedb54d9a60821c6ba9d6a91e1856364e18bdf6700afa97e0cadcf8611d5",
+    ),
+    (False, 5): (
+        109,
+        ([1, 4, 5], [2, 3, 6, 7, 8], 30, 74),
+        "736015130c004293582f36ba8ab40cc7f92e38f0415b0ee741c7d8b7348a88d1",
+    ),
+    (True, 0): (
+        117,
+        ([1, 3, 4, 5, 7, 8], [2, 6], 28, 87),
+        "f94067822be2099571715c53404a7ef874cb09b96ce79c0145e0fc985a312e89",
+    ),
+    (True, 1): (
+        130,
+        ([3, 4, 7, 8], [1, 2, 5, 6], 30, 96),
+        "33d8e3b5c2cd4b6ae2245fdaca88ee57d1e006165f117aa19b12af26bf78bd0b",
+    ),
+    (True, 2): (
+        135,
+        ([1, 2, 4, 5, 6, 7, 8], [3], 32, 102),
+        "39a039175ba01b8770e625a69b9b4b682835cae54985d43158d0da0a8d2638d1",
+    ),
+    (True, 3): (
+        131,
+        ([1, 3, 4, 5, 6, 7, 8], [2], 35, 95),
+        "47c17e14fe1bb6ee072befc13aea84bbddf978dc93f7bdbfecd5cf769bca7981",
+    ),
+    (True, 4): (
+        137,
+        ([1, 6, 7], [2, 3, 4, 5, 8], 32, 100),
+        "440b015ab70818a81c316069a45efda4d443c48adaa887ca041ab89e33065929",
+    ),
+    (True, 5): (
+        127,
+        ([1, 2, 4, 5, 6], [3, 7, 8], 31, 93),
+        "c0a86c0deaa1fd95661fd21f177f0eca25ba06a1e1dc8801c43e46773d3dfe14",
+    ),
+}
+
+
+class TestFrozenDecisionTraces:
     @pytest.mark.parametrize("anti_starvation", [False, True])
-    def test_cache_on_off_identical_decisions(self, anti_starvation):
-        # anti_starvation=True exercises flush() mid-run, the one path
-        # that un-defines elements — exactly where a stale cache entry
-        # would change a decision.
+    def test_seeded_traces_match_the_cached_parent(self, anti_starvation):
+        # Deleting the comparison cache changed no decision: every
+        # (operation, status, reason) triple of these runs equals what
+        # the cache-on scheduler produced.  anti_starvation=True
+        # exercises flush() mid-run, the one path that un-defines
+        # elements — exactly where a stale cache entry would have moved
+        # a decision.
         for seed in range(6):
-            with_cache = _decision_trace(
-                DEFAULT_COMPARE_CACHE, anti_starvation, seed
-            )
-            without_cache = _decision_trace(0, anti_starvation, seed)
-            assert with_cache == without_cache
-
-    def test_fuzzer_cross_checks_cache_equivalence(self):
-        # The conformance fuzzer carries the same rule permanently
-        # ("cache-equivalence"): every campaign replays each case through
-        # MT(3) with and without the comparison cache.  A clean adversarial
-        # campaign here means no workload shape distinguishes the two.
-        from repro.check.fuzz import FuzzConfig, run_fuzz
-
-        report = run_fuzz(FuzzConfig(iterations=60, seed=23))
-        assert report.ok, report.to_dict()
-        assert report.rule_counts.get("cache-equivalence", 0) == 0
+            recorded, summary = _decision_trace(anti_starvation, seed)
+            digest = hashlib.sha256(
+                json.dumps(recorded).encode()
+            ).hexdigest()
+            assert (len(recorded), summary, digest) == FROZEN_TRACES[
+                anti_starvation, seed
+            ], seed
 
 
 class TestZeroCostTracing:

@@ -380,6 +380,36 @@ class TestScriptedFaults:
         consumed = not (kind == "duplicate" and message == "vote")
         self.check_plan(plan, expect_consumed=consumed)
 
+    def test_votes_are_dropped_with_their_decision(self, monkeypatch):
+        """A node kept every window's full reply in ``_votes`` for the
+        whole run; a vote is only needed until the back-to-back duplicate
+        ``prepare`` has been answered, so it goes when the decision is
+        logged — and duplicated prepares / decides still recover
+        bit-identically."""
+        from repro.engine.pipeline.recovery import DataNode
+
+        windows = involvement(1)[0]
+        plan = FaultPlan(
+            [
+                Fault("duplicate", windows[0], node=0, phase="prepare"),
+                Fault("duplicate", windows[1], node=0, phase="decide"),
+            ]
+        )
+        held = []
+        handle = DataNode.handle
+
+        def spy(node, message):
+            reply = handle(node, message)
+            held.append((message[0], len(node._votes)))
+            return reply
+
+        monkeypatch.setattr(DataNode, "handle", spy)
+        self.check_plan(plan)
+        decided = [votes for kind, votes in held if kind == "decide"]
+        assert len(decided) > len(windows)  # both nodes, every window
+        assert set(decided) == {0}
+        assert max(votes for _kind, votes in held) == 1
+
     def test_torn_wal_presumes_abort_and_retries(self):
         plan = FaultPlan([Fault("torn-wal", 0)])
         _got, snap = self.check_plan(plan)

@@ -4,11 +4,19 @@ Each test reproduces the exact failure that was observed before the fix;
 see DESIGN.md ("implementation notes") for the analysis.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.distributed import DMTkScheduler
 from repro.core.mtk import MTkScheduler
-from repro.core.table import NormalEncoding, OptimizedEncoding
+from repro.core.table import (
+    NormalEncoding,
+    OptimizedEncoding,
+    TimestampTable,
+    _SLAB_LIMIT,
+)
 from repro.core.timestamp import (
     Counters,
     Ordering,
@@ -198,50 +206,38 @@ class TestLowerCounterAvoidsVirtualZero:
         assert set(order) == {1, 2}
 
 
-class TestReclaimPurgesComparisonCache:
-    """Bug 6 (PR 6): ``TimestampTable.reclaim()`` dropped the slab row but
-    left ``ComparisonCache`` entries pinning strong references to the dead
-    vector — the reclaimed row stayed alive (keyed by a dead txn id) until
-    FIFO eviction."""
+class _Marker(float):
+    """A weakref-able vector element.  ``TimestampVector`` is slotted
+    without ``__weakref__``, so a row's liveness is observed through an
+    element that only the row holds."""
 
-    def test_reclaim_drops_cache_entries(self):
-        from repro.core.table import TimestampTable
 
+class TestReclaimLeavesRowCollectable:
+    """Bug 6 (PR 6): ``TimestampTable.reclaim()`` dropped the row from the
+    slab but something else — then the comparison cache, since deleted —
+    kept strong references to the dead vector.  Whatever the mechanism,
+    the behaviour stays pinned: a reclaimed row is garbage."""
+
+    @pytest.mark.parametrize(
+        "txn", [1, _SLAB_LIMIT + 1], ids=["slab", "spill"]
+    )
+    def test_reclaimed_row_is_collectable(self, txn):
         table = TimestampTable(2)
-        table.set_less(0, 1)
-        table.set_less(1, 2)
-        victim = table.vector(1)
-        # Warm the cache with comparisons involving T1 on both sides.
-        table.compare_vectors(victim, table.vector(2))
-        table.compare_vectors(table.vector(2), victim)
-        entries = table._cache._entries
-        assert any(
-            entry[0] is victim or entry[1] is victim
-            for entry in entries.values()
-        )
-        table.reclaim(1)
-        assert not any(
-            entry[0] is victim or entry[1] is victim
-            for entry in entries.values()
-        ), "reclaimed row still pinned by the comparison cache"
-
-    def test_purge_is_scoped_to_the_reclaimed_row(self):
-        from repro.core.table import TimestampTable
-
-        table = TimestampTable(2)
-        table.set_less(0, 1)
-        table.set_less(1, 2)
-        table.set_less(2, 3)
-        table.compare_vectors(table.vector(2), table.vector(3))
-        before = len(table._cache)
-        assert before > 0
-        table.reclaim(1)
-        survivors = [
-            entry
-            for entry in table._cache._entries.values()
-            if entry[0] is table.vector(2) or entry[1] is table.vector(3)
-        ]
-        assert survivors, "unrelated cache entries were purged"
+        other = txn + 1
+        marker = _Marker(7.0)
+        table.vector(txn).set(2, marker)
+        alive = weakref.ref(marker)
+        del marker
+        # Every way the table compares rows, with T(txn) on both sides.
+        table.set_less(0, txn)
+        table.set_less(txn, other)
+        table.compare_vectors(table.vector(txn), table.vector(other))
+        table.compare_vectors(table.vector(other), table.vector(txn))
+        gc.collect()
+        assert alive() is not None
+        table.reclaim(txn)
+        gc.collect()
+        assert alive() is None, "reclaimed row is still referenced"
 
 
 class TestCopyPreservesEpochs:

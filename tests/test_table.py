@@ -187,3 +187,36 @@ class TestCostAccounting:
         assert table.element_visits == 0
         table.set_less(VIRTUAL_TXN, 1)
         assert table.element_visits > 0
+
+    def test_element_visits_unit_on_table_one(self, example2_log, monkeypatch):
+        """``element_visits`` is the paper's III-D-3 unit: the sum of the
+        deciding positions of every comparison ``order_after_latest`` /
+        ``set_less`` make — each one charged, none hidden — and nothing
+        from ``compare_vectors``.  Pinned on Example 2 / Table I, MT(2)."""
+        from repro.core import table as table_module
+        from repro.core.mtk import MTkScheduler
+
+        positions = []
+
+        def recording_compare(left, right):
+            comparison = compare(left, right)
+            positions.append(comparison.position)
+            return comparison
+
+        monkeypatch.setattr(table_module, "compare", recording_compare)
+        scheduler = MTkScheduler(2)
+        assert scheduler.run(example2_log).accepted
+        # R1[x] R2[y] R3[z]: Set(0, i) is `?` at m=1, three times.
+        # W1[y]: TS(RT(y)=2) > TS(WT(y)=0) at m=1, then Set(2, 1) is `=`
+        # at m=2.  W1[z]: TS(3) > TS(0) at m=1, then Set(3, 1) is `?` at
+        # m=2 (TS(1) is <1,2> by now).
+        assert positions == [1, 1, 1, 1, 2, 1, 2]
+        table = scheduler.table
+        assert table.element_visits == sum(positions) == 9
+        table.compare_vectors(table.vector(1), table.vector(2))
+        assert len(positions) == 8
+        assert table.element_visits == 9
+        # A repeated comparison of unchanged vectors scans again and is
+        # charged again: TS(3) < TS(1) at m=2, twice.
+        assert table.set_less(3, 1).ok and table.set_less(3, 1).ok
+        assert table.element_visits == 9 + 2 + 2
