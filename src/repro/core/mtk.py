@@ -306,7 +306,9 @@ class MTkScheduler(Instrumented, Scheduler):
         For every item the transaction touched, the new most-recent
         reader/writer is the surviving accessor with the *largest* vector
         (matching the paper's definition of the most recent read/write
-        timestamp).
+        timestamp).  The scan that finds it also drops the history's
+        settled prefix (:meth:`_maximal`), so a restore costs the live
+        tail of the history, not the run so far.
         """
         touched = self._touched.pop(txn, None)
         if not touched:
@@ -323,18 +325,50 @@ class MTkScheduler(Instrumented, Scheduler):
             if self.table.wt(item) == txn:
                 self.table.set_wt(item, self._maximal(writers or []))
 
-    def _maximal(self, candidates: list[int]) -> int:
-        """The candidate holding a maximal vector (``T_0`` if none)."""
-        best = VIRTUAL_TXN
-        for txn in candidates:
-            if best == VIRTUAL_TXN:
-                best = txn  # any candidate beats T0; no comparison needed
+    def _maximal(self, history: list[int]) -> int:
+        """The entry holding a maximal vector (``T_0`` if none), found by
+        a left-to-right scan that replaces ``best`` only on ``LESS`` —
+        and *history* cut, in place, at its last settled accessor.
+
+        Entry ``p`` is settled when it became ``best``, every entry up to
+        it is committed, and every comparison up to it came out ``LESS``
+        or ``GREATER`` (or was skipped as a repeat of ``best``:
+        ``compare(v, v)`` is never ``LESS``).  Those verdicts read only
+        elements defined in both vectors, elements are write-once until a
+        flush, only aborted or restarted rows are flushed and a committed
+        entry is never retracted — so every later scan reaches ``p`` with
+        ``best == history[p]`` again, and ``history[:p]`` can go
+        (III-D-6b).  An unordered verdict (``EQUAL``/``SEMI``) or an
+        uncommitted entry can still change, so either ends the prefix.
+        A scheduler that never hears :meth:`commit` cuts nothing.
+        """
+        if len(history) < 2:
+            return history[0] if history else VIRTUAL_TXN
+        committed = self.committed
+        vector = self.table.vector
+        compare_vectors = self.table.compare_vectors
+        best = history[0]
+        best_vector = vector(best)
+        settled = best in committed
+        cut = 0
+        for index, txn in enumerate(history):
+            if txn == best:
                 continue
-            ordering = self.table.compare_vectors(
-                self.table.vector(best), self.table.vector(txn)
-            ).ordering
+            txn_vector = vector(txn)
+            ordering = compare_vectors(best_vector, txn_vector).ordering
             if ordering is Ordering.LESS:
-                best = txn
+                best, best_vector = txn, txn_vector
+                if settled:
+                    if txn in committed:
+                        cut = index
+                    else:
+                        settled = False
+            elif settled and (
+                ordering is not Ordering.GREATER or txn not in committed
+            ):
+                settled = False
+        if cut:
+            del history[:cut]
         return best
 
     # ------------------------------------------------------------------
@@ -409,16 +443,11 @@ class MTkScheduler(Instrumented, Scheduler):
         return set()
 
     def _prune_histories(self) -> None:
-        """Drop access-history entries older than the newest *committed*
-        accessor: restoration after an abort never walks past a committed
-        transaction (it can never abort), so earlier entries are dead."""
+        """Cut every access history at its last settled accessor — the
+        restore scan's own rule (:meth:`_maximal`), so reclaiming at any
+        cadence leaves every later decision as it would have been."""
         for history in (*self._readers.values(), *self._writers.values()):
-            last_committed = None
-            for index, txn in enumerate(history):
-                if txn in self.committed:
-                    last_committed = index
-            if last_committed:
-                del history[:last_committed]
+            self._maximal(history)
 
     @property
     def table_size(self) -> int:

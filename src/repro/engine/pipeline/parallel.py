@@ -174,6 +174,9 @@ class ShardEngine:
             self.scheduler = MTkScheduler(
                 k, read_rule=read_rule, **shared
             )
+        # No accessor crosses _WorkerHost, so nothing can read this
+        # trace; re-enable it together with a consumer (ROADMAP item 6).
+        self.scheduler.events.disable()
         self._exported: dict[int, int] = {}
         self._dirty_rows: set[int] = set()
         self._dirty_items: set[str] = set()

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.mtk import MTkScheduler
 from repro.engine.executor import TransactionExecutor
 from repro.model.generator import WorkloadSpec, generate_transactions
+from repro.model.log import Log
 from repro.model.operations import read, write
+
+from tests.scheduler_streams import drive, indices
 
 
 class TestReclaim:
@@ -97,3 +100,71 @@ class TestReclaim:
         # 180 transactions processed; the live table never exceeds a small
         # multiple of the per-batch population.
         assert peak_after_reclaim <= 30
+
+
+# ----------------------------------------------------------------------
+# Reclamation at any cadence must leave every later decision unchanged
+# ----------------------------------------------------------------------
+#: ddmin of harness seed 50 (233 steps -> 13).  ``readers[x0]`` is
+#: ``[12, 18, 16, 12]`` when T12 commits; dropping everything before the
+#: *newest committed* accessor also dropped the live T18 and T16, so when
+#: T16 (``RT(x0)``) aborts the restore lands on T12 ``<1,*,*>`` instead of
+#: T18 ``<2,*,*>``, ``R24[x0]`` draws ``<2,*,*>`` instead of ``<3,*,*>``
+#: and ``R24[x3]`` flips from accept to reject against T20 ``<3,2,*>``.
+RECLAIM_WITNESS = (
+    "R12[x0]", "R18[x0]", "R18[x3]", "R16[x0]", "R12[x0]",
+    ("commit", 12),
+    ("reclaim",),
+    "W20[x3]", "W16[x2]", "R20[x2]", "R16[x3]", "R24[x0]", "R24[x3]",
+)
+
+
+def _replay(steps, reclaim):
+    """Decisions of a step script with its reclaim steps run or skipped."""
+    scheduler = MTkScheduler(3)
+    decisions = []
+    for step in steps:
+        if isinstance(step, str):
+            op = Log.parse(step).operations[0]
+            if op.txn not in scheduler.aborted:
+                decisions.append((step, scheduler.process(op).status.value))
+        elif step[0] == "commit":
+            scheduler.commit(step[1])
+        elif reclaim:
+            scheduler.reclaim_committed()
+    return decisions, indices(scheduler)
+
+
+class TestReclaimNeverChangesADecision:
+    def test_frozen_witness(self):
+        reclaimed = _replay(RECLAIM_WITNESS, reclaim=True)
+        never = _replay(RECLAIM_WITNESS, reclaim=False)
+        assert reclaimed == never
+        assert reclaimed[0][-2:] == [("R24[x0]", "accept"), ("R24[x3]", "accept")]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        options=st.sampled_from(
+            (
+                {},
+                {"anti_starvation": True},
+                {"read_rule": "relaxed"},
+                {"read_rule": "none"},
+            )
+        ),
+        cadence=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_cadence_equals_never(self, seed, options, cadence):
+        """40 transactions over 4 items, 5 at a time, rejected ones
+        restarted or abandoned: reclaiming every *cadence* steps decides
+        every operation as never reclaiming does and leaves the same
+        ``RT`` / ``WT`` and the same vector in every surviving row."""
+        reclaiming = MTkScheduler(3, **options)
+        never = MTkScheduler(3, **options)
+        assert drive(reclaiming, seed, reclaim_every=cadence) == drive(never, seed)
+        assert indices(reclaiming) == indices(never)
+        kept = reclaiming.table.snapshot()
+        full = never.table.snapshot()
+        assert kept == {txn: full[txn] for txn in kept}
+        assert len(kept) < len(full)
