@@ -24,11 +24,13 @@ vectors:
   already sits below the tail writer, hence — by transitivity — below
   ``T_i`` (``core/mvcc.py``; DESIGN.md §9 has the argument).
 
-Every per-transaction question the executor asks (retract my entries,
-whom did I read from, who read from me, which version did my read see)
-is answered from a per-transaction *chain index* — the items where the
-transaction holds, or ever held, a version or read record — so an abort
-or commit costs the chains it touched, not the table.
+Every per-transaction question the executor asks is answered from what
+the transaction owns, not from the chains' history: "retract my entries"
+and "which version did my read see" from a per-transaction *chain
+index* (the items where it holds a version or read record), "whom did I
+read from" and "who read from me" from two *read indexes* (the sources
+of each reader's live records, the readers sourced from each writer's
+versions).  An abort or commit costs its own records.
 
 The scheduler is now split per Bohm's prescription: the visibility
 engine (``core/mvcc.py``) makes pure logical-ordering decisions and the
@@ -93,13 +95,24 @@ class MultiversionMixin:
         #: per-transaction chain index: ``txn -> {item: source}`` over
         #: the items where *txn* installed a version or had a read
         #: accepted; *source* is the version writer its latest accepted
-        #: read of the item saw (``None``: no live read record).  The
-        #: key sets are add-only — retraction clears the sources but
-        #: keeps the items, because records *sourced from* an aborted
-        #: writer outlive it and :meth:`readers_of` is asked for them
-        #: after :meth:`_abort` already retracted the writer.  Entries
-        #: die with the transaction's row (:meth:`reclaim_committed`).
+        #: read of the item saw (``None``: a write only).  An entry goes
+        #: when *txn*'s chain entries are retracted, or with its row
+        #: (:meth:`reclaim_committed`).
         self._chain_index: dict[int, dict[str, int | None]] = {}
+        #: the read indexes behind :meth:`commit_dependencies` and
+        #: :meth:`readers_of`, over *uncommitted* readers only — the
+        #: only ones either question is acted on for:
+        #: ``reader -> [source, ...]`` (one entry per live read record
+        #: sourced from another transaction's version; ``T_0`` and
+        #: own-version reads are left out) and its inverse ``writer ->
+        #: {reader, ...}``.  A reader joins when a read is recorded and
+        #: leaves when its records are retracted or it commits; chain GC
+        #: only ever drops committed readers' records, so it cannot make
+        #: them stale.  A writer's reader set outlives the writer's own
+        #: retraction, because :meth:`readers_of` is asked *after*
+        #: :meth:`_abort` retracted it.
+        self._read_sources: dict[int, list[int]] = {}
+        self._source_readers: dict[int, set[int]] = {}
         # Rebuilt every reset so the pure engine can never compare
         # against a stale table (the PR-1 ``reset()`` bug family: state
         # bound to a table the reset just threw away).  When the
@@ -202,8 +215,20 @@ class MultiversionMixin:
                 return self._abort(op, blocking=writer)
         elif resolution.fresh:
             self._note_successor(resolution.source, i)
-        chain.record_read(i, resolution.source)
-        self._index_entry(i)[x] = resolution.source
+        source = resolution.source
+        chain.record_read(i, source)
+        self._index_entry(i)[x] = source
+        if source != VIRTUAL_TXN and source != i:
+            sources = self._read_sources.get(i)
+            if sources is None:
+                self._read_sources[i] = [source]
+            else:
+                sources.append(source)
+            readers = self._source_readers.get(source)
+            if readers is None:
+                self._source_readers[source] = {i}
+            else:
+                readers.add(i)
         self.table.set_rt(x, self._note_reader(chain, i))
         self._record_access(op)
         reason = (
@@ -253,20 +278,16 @@ class MultiversionMixin:
         return Decision(DecisionStatus.ACCEPT, op)
 
     # ------------------------------------------------------------------
-    def _max_reader(self, item: str) -> int:
-        return self._maximal(
-            [reader for reader, _ in self._chain(item).reads]
-        )
-
     def _note_reader(self, chain: VersionChain, i: int) -> int:
         """Incremental ``RT`` maintenance: fold the new reader into the
-        chain's cached maximal reader with a single comparison instead of
-        rescanning every recorded read (which made ``RT`` upkeep the
-        scheduler's single hottest path under contention).  ``RT`` is an
-        index hint here — multiversion decisions are made against the
-        chain, never against ``RT``/``WT`` — so the cache only needs to
-        be *a* maximal reader, recomputed from scratch whenever read
-        records were dropped (``rt_hint`` invalidation)."""
+        chain's cached maximal reader with a single comparison.  ``RT``
+        is an index hint here — multiversion decisions are made against
+        the chain, never against ``RT``/``WT`` — so the cache only needs
+        to be *a* maximal reader.  Once read records were dropped
+        (``rt_hint`` invalidation by a retraction or a collection) the
+        next read rescans every record of the chain: readers of one
+        version are mutually unordered, so no settled prefix bounds that
+        scan."""
         hint = chain.rt_hint
         if hint is None:
             rt = self._maximal([reader for reader, _ in chain.reads])
@@ -278,23 +299,34 @@ class MultiversionMixin:
         return rt
 
     def chains_of(self, txn: int) -> list[VersionChain]:
-        """The chains where *txn* holds — or, before a retraction, held —
-        a version or read record (a superset, from the chain index)."""
+        """The chains where *txn* holds a version or read record (a
+        superset, from the chain index; empty once it was retracted)."""
         chains = self._chains
         return [chains[item] for item in self._chain_index.get(txn, ())]
 
+    def _forget_reads(self, reader: int) -> None:
+        """Drop *reader* from both read indexes."""
+        sources = self._read_sources.pop(reader, None)
+        if not sources:
+            return
+        source_readers = self._source_readers
+        for source in sources:
+            readers = source_readers.get(source)
+            if readers is not None:
+                readers.discard(reader)
+                if not readers:
+                    del source_readers[source]
+
     def _retract_chains(self, txn: int) -> int:
         """Drop *txn*'s versions and read records from the chains it
-        touched; returns the number of entries dropped."""
-        entry = self._chain_index.get(txn)
+        touched; returns the number of entries dropped.  A second call
+        finds no index entry and costs nothing."""
+        self._forget_reads(txn)
+        entry = self._chain_index.pop(txn, None)
         if not entry:
             return 0
         chains = self._chains
-        removed = 0
-        for item in entry:
-            removed += chains[item].retract(txn)
-            entry[item] = None
-        return removed
+        return sum(chains[item].retract(txn) for item in entry)
 
     def _abort(self, op: Operation, blocking: int) -> Decision:
         decision = super()._abort(op, blocking)
@@ -319,10 +351,16 @@ class MultiversionMixin:
         super()._undo_indices(txn)
         self._retract_chains(txn)
 
+    def commit(self, txn: int) -> None:
+        """A committed transaction has no commit dependencies left to
+        wait on and is no cascade victim: it leaves the read indexes."""
+        super().commit(txn)
+        self._forget_reads(txn)
+
     def prune_aborted(self, txn: int) -> int:
         """Explicitly retract an aborted transaction's chain entries (the
         executor's restart/abort hook; idempotent with the automatic
-        retraction in :meth:`_undo_indices`)."""
+        retraction in :meth:`_undo_indices`, and free after it)."""
         return self._retract_chains(txn)
 
     def cascade_restart(self, txn: int) -> None:
@@ -477,32 +515,26 @@ class MultiversionMixin:
         before its source commits is a dirty read the serial replay
         cannot reproduce (the source may still abort).  The executor
         therefore parks a finished transaction until this set drains:
-        sources commit (park released) or roll back (reader cascades)."""
-        deps: set[int] = set()
+        sources commit (park released) or roll back (reader cascades).
+
+        Answered from *txn*'s own read index, in O(its reads)."""
         committed = self.committed
-        for chain in self.chains_of(txn):
-            for reader, source in chain.reads:
-                if (
-                    reader == txn
-                    and source != VIRTUAL_TXN
-                    and source != txn
-                    and source not in committed
-                ):
-                    deps.add(source)
-        return deps
+        return {
+            source
+            for source in self._read_sources.get(txn, ())
+            if source not in committed
+        }
 
     def readers_of(self, txn: int) -> set[int]:
         """Transactions holding a read record sourced from *txn*'s
         versions.  When *txn* rolls back, these readers consumed a
         version that no longer exists: the executor cascade-restarts the
         uncommitted ones (committed ones cannot exist — they were gated
-        on *txn* committing first)."""
-        readers: set[int] = set()
-        for chain in self.chains_of(txn):
-            for reader, source in chain.reads:
-                if source == txn and reader != txn:
-                    readers.add(reader)
-        return readers
+        on *txn* committing first).
+
+        Answered from *txn*'s reader index, in O(its readers): the
+        uncommitted ones, the only ones a cascade can act on."""
+        return set(self._source_readers.get(txn, ()))
 
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict[str, Any]:

@@ -10,11 +10,13 @@ physical installation, this module separates them:
   :class:`~repro.storage.backend.VersionedBackend`: versions oldest →
   newest (the virtual ``T_0`` owns the base version), each optionally
   carrying a value, plus the recorded ``(reader, source)`` pairs writes
-  must validate against and, per version, how many of those records are
-  already known to sit below its writer (the *validated prefix*).
+  must validate against, how many of them each reader holds, and, per
+  version, how many of those records are already known to sit below its
+  writer (the *validated prefix*).
 * :class:`VisibilityEngine` — **pure** decisions.  Given a comparison
   oracle over transaction ids it answers "which version does this vector
-  see" (:meth:`resolve_read`), "may this write install"
+  see" (:meth:`resolve_read`, a gallop down the ordered chain), "may this
+  write install"
   (:meth:`resolve_write`) and "how does this recorded read constrain the
   new version" (:meth:`classify_reader`) without touching any shared
   mutable state.  Every ordering the answer *requires* is returned as an
@@ -55,6 +57,13 @@ means "assume nothing" and is always safe; every operation that drops
 read records re-bases the boundaries (:meth:`VersionChain.retract`) or
 zeroes them (:meth:`VersionChain.collect`,
 :meth:`VersionChain.reset_validated`).
+
+The same total order bounds the read walk.  Writers ascend strictly, so
+if a writer is GREATER than the reader every newer writer is too: the
+writers the newest-first walk skips form a *suffix* of the chain, and
+:meth:`VisibilityEngine.resolve_read` finds its boundary by galloping
+down from the tail and bisecting, in O(log depth) comparisons instead
+of O(depth).
 """
 
 from __future__ import annotations
@@ -96,7 +105,7 @@ class VersionChain:
     below the new writer first.
     """
 
-    __slots__ = ("versions", "reads", "rt_hint")
+    __slots__ = ("versions", "reads", "reader_counts", "rt_hint")
 
     def __init__(self, initial: Any = NO_VALUE) -> None:
         self.versions: list[ChainVersion] = [
@@ -104,6 +113,10 @@ class VersionChain:
         ]
         #: accepted reads in acceptance order: (reader, source writer).
         self.reads: list[tuple[int, int]] = []
+        #: reader -> how many of ``reads`` it holds (readers with none
+        #: are absent), so :meth:`retract` touches the reads only for a
+        #: transaction that has some.
+        self.reader_counts: dict[int, int] = {}
         #: cached maximal reader (the scheduler's incremental ``RT``
         #: maintenance — one comparison per read instead of a scan over
         #: every recorded reader).  ``None`` = recompute on next read;
@@ -151,6 +164,8 @@ class VersionChain:
 
     def record_read(self, reader: int, source: int) -> None:
         self.reads.append((reader, source))
+        counts = self.reader_counts
+        counts[reader] = counts.get(reader, 0) + 1
 
     def reset_validated(self) -> None:
         """Forget every validated prefix: the next write re-classifies
@@ -163,30 +178,42 @@ class VersionChain:
         """Remove an aborted transaction's version and read records.
         Returns the number of entries dropped.
 
+        Writers are distinct (they strictly ascend), so there is at most
+        one version to drop; the scan for it starts at the tail, where
+        uncommitted writers sit.  The reads are touched only when
+        ``reader_counts`` says *txn* holds some, and then only back from
+        the tail to its earliest record — retracting a transaction twice
+        reads no record the second time.
+
         A retracted tail falls back to its predecessor (boundary
         included — it travels with the version); dropped read records
         shift every later boundary down by the records lost below it."""
         removed = 0
-        if any(version.writer == txn for version in self.versions):
-            self.versions = [
-                version for version in self.versions if version.writer != txn
-            ]
-            if not self.versions:
-                # GC may have collected the T0 base; reinstate it so the
-                # chain always serves *something* (the initial version).
-                self.versions = [ChainVersion(VIRTUAL_TXN)]
-            removed += 1
-        dropped = [
-            index
-            for index, (reader, _) in enumerate(self.reads)
-            if reader == txn
-        ]
-        if dropped:
-            self.reads = [
-                entry for entry in self.reads if entry[0] != txn
-            ]
-            removed += len(dropped)
-            for version in self.versions:
+        versions = self.versions
+        for index in range(len(versions) - 1, -1, -1):
+            if versions[index].writer == txn:
+                del versions[index]
+                if not versions:
+                    # GC may have collected the T0 base; reinstate it so
+                    # the chain always serves *something* (the initial
+                    # version).
+                    versions.append(ChainVersion(VIRTUAL_TXN))
+                removed = 1
+                break
+        count = self.reader_counts.pop(txn, 0)
+        if count:
+            reads = self.reads
+            dropped: list[int] = []
+            index = len(reads)
+            while len(dropped) < count:
+                index -= 1
+                if reads[index][0] == txn:
+                    dropped.append(index)
+            for index in dropped:  # descending: earlier indices stay put
+                del reads[index]
+            dropped.reverse()
+            removed += count
+            for version in versions:
                 version.validated -= bisect_left(dropped, version.validated)
             if self.rt_hint == txn:
                 self.rt_hint = None
@@ -264,6 +291,10 @@ class VersionChain:
                     keep.append((reader, source))
             if reads_reclaimed:
                 self.reads = keep
+                counts: dict[int, int] = {}
+                for reader, _ in keep:
+                    counts[reader] = counts.get(reader, 0) + 1
+                self.reader_counts = counts
                 self.rt_hint = None
                 # Collection is rare; re-basing every boundary over the
                 # reclaimed records buys nothing over one full rescan.
@@ -351,7 +382,8 @@ class VisibilityEngine:
     def resolve_read(
         self, chain: VersionChain, reader: int, item: str | None = None
     ) -> ReadResolution | None:
-        """The version ``reader`` must see — newest-first walk.
+        """The version ``reader`` must see — the newest version whose
+        writer is not above it.
 
         Skipping writers already *above* the reader, the first writer
         below it — or not yet ordered against it, in which case a pin
@@ -361,48 +393,81 @@ class VisibilityEngine:
         pair, which the ``Set`` move always satisfies: the read cannot
         abort.  ``None`` only for vectors driven below the virtual
         transaction (a genuine, defensively-counted abort).
+
+        The skipped writers form a suffix of the ordered chain, so the
+        boundary is found by probing the tail (the common read stops
+        there after one comparison), then offsets 1, 3, 7, … below it,
+        and bisecting the last gap.  The base ``T_0`` version is not
+        part of the ordered run (``chain_is_ordered`` exempts it) and is
+        probed only when every writer above it is skipped — where the
+        newest-first walk would reach it too.
         """
-        newest = chain.versions[-1].writer
-        for version in reversed(chain.versions):
-            writer = version.writer
-            if writer == reader:
-                # A transaction always sees its own version.
-                return ReadResolution(writer, None, writer == newest)
-            ordering = self._ordering_of(writer, reader)
-            if ordering is Ordering.GREATER:
-                continue
-            fresh = writer == newest
-            if ordering is Ordering.LESS:
-                return ReadResolution(writer, None, fresh)
-            # Incomparable (=/?).  An *uncommitted* writer here is a
-            # choice point: reading it is a dirty read — the reader
-            # picks up a commit dependency and cascades if the writer
-            # rolls back — while ordering the reader *below* it costs
-            # one Set move and keeps the read clean.  Take the clean
-            # order (a skip directive: the caller pins, then resolves
-            # again) whenever the chain still has its floor; on a
-            # GC-truncated chain the detour could walk off the retained
-            # history, so the dirty read is the lesser evil there (the
-            # executor's commit-dependency gate nets it).
-            if (
-                self._committed_of is not None
-                and writer != VIRTUAL_TXN
-                and not self._committed_of(writer)
-                and chain.versions[0].writer == VIRTUAL_TXN
-            ):
-                return ReadResolution(
-                    writer, (writer, item if fresh else None), fresh,
-                    skip=True,
-                )
-            # Committed (or no commit oracle) — commit to
-            # writer-before-reader.  The encode is attributed to the
-            # item only for the newest version (the position the
-            # single-version MT(k) would have contended on); deeper pins
-            # are pure ordering moves.
+        versions = chain.versions
+        ordering_of = self._ordering_of
+        greater = Ordering.GREATER
+
+        def verdict(index: int) -> Ordering | None:
+            # None: the reader's own version — a transaction always
+            # sees its own write.
+            writer = versions[index].writer
+            return None if writer == reader else ordering_of(writer, reader)
+
+        hi = len(versions) - 1  # the lowest index known to be skipped
+        ordering = verdict(hi)
+        if ordering is not greater:
+            lo = hi
+        else:
+            lo = -1  # the highest index known to stop the walk
+            floor = 1 if hi > 0 and versions[0].writer == VIRTUAL_TXN else 0
+            gap = 1
+            while hi > floor:
+                index = max(floor, hi - gap)
+                probe = verdict(index)
+                if probe is not greater:
+                    lo, ordering = index, probe
+                    break
+                hi = index
+                gap *= 2
+            if lo < 0 and floor:  # every writer above T_0 is skipped
+                probe = verdict(0)
+                if probe is not greater:
+                    lo, ordering = 0, probe
+            if lo < 0:
+                return None
+            while hi - lo > 1:
+                index = (lo + hi) // 2
+                probe = verdict(index)
+                if probe is greater:
+                    hi = index
+                else:
+                    lo, ordering = index, probe
+        writer = versions[lo].writer
+        fresh = writer == versions[-1].writer
+        if ordering is None or ordering is Ordering.LESS:
+            return ReadResolution(writer, None, fresh)
+        # Incomparable (=/?).  An *uncommitted* writer here is a choice
+        # point: reading it is a dirty read — the reader picks up a
+        # commit dependency and cascades if the writer rolls back —
+        # while ordering the reader *below* it costs one Set move and
+        # keeps the read clean.  Take the clean order (a skip directive:
+        # the caller pins, then resolves again) whenever the chain still
+        # has its floor; on a GC-truncated chain the detour could walk
+        # off the retained history, so the dirty read is the lesser evil
+        # there (the executor's commit-dependency gate nets it).
+        if (
+            self._committed_of is not None
+            and writer != VIRTUAL_TXN
+            and not self._committed_of(writer)
+            and versions[0].writer == VIRTUAL_TXN
+        ):
             return ReadResolution(
-                writer, (writer, item if fresh else None), fresh
+                writer, (writer, item if fresh else None), fresh, skip=True
             )
-        return None
+        # Committed (or no commit oracle) — commit to writer-before-
+        # reader.  The encode is attributed to the item only for the
+        # newest version (the position the single-version MT(k) would
+        # have contended on); deeper pins are pure ordering moves.
+        return ReadResolution(writer, (writer, item if fresh else None), fresh)
 
     def resolve_write(
         self, chain: VersionChain, writer: int, item: str | None = None

@@ -151,7 +151,8 @@ class MultiversionStore:
         pruning) — and its recorded reads when the chains are shared with
         a scheduler, whose chain index then names the chains to visit
         (a bound store carries values on versions the scheduler
-        installed).  Returns the number of versions removed."""
+        installed; none are left once the scheduler retracted *txn*
+        itself).  Returns the number of versions removed."""
         removed = 0
         if self._scheduler is not None:
             chains = self._scheduler.chains_of(txn)
