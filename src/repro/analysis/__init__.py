@@ -55,6 +55,7 @@ __all__ += [
 from .invariants import (
     InvariantViolation,
     check_all,
+    check_chains_live,
     check_contiguous_prefixes,
     check_distinct_last_column,
     check_indices_live,
@@ -64,6 +65,7 @@ from .invariants import (
 __all__ += [
     "InvariantViolation",
     "check_all",
+    "check_chains_live",
     "check_contiguous_prefixes",
     "check_distinct_last_column",
     "check_indices_live",

@@ -14,7 +14,10 @@ these after random executions):
    strict partial order (Lemmas 1-2 guarantee this for *any* element
    assignment; checking it exercises the comparison path).
 4. **Index validity** — ``RT``/``WT`` never reference an aborted
-   transaction (the abort path re-points them).
+   transaction (the abort path re-points them).  A multiversion
+   scheduler keeps no ``RT``/``WT``; its index is the version chain, and
+   the same fact reads: no chain version or read record belongs to an
+   aborted transaction (the abort path retracts them).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 
 from ..core.mtk import MTkScheduler
+from ..core.multiversion import MultiversionMixin
 from ..core.table import TimestampTable, VIRTUAL_TXN
 from ..core.timestamp import Ordering, UNDEFINED, compare
 
@@ -88,9 +92,29 @@ def check_indices_live(scheduler: MTkScheduler) -> None:
                 )
 
 
+def check_chains_live(scheduler: MultiversionMixin) -> None:
+    """The chain form of :func:`check_indices_live`: no version and no
+    read record of an aborted, non-preserved transaction.  (A record
+    *sourced* from a retracted version is the executor's cascade to
+    resolve, not an index fault.)"""
+    dead = scheduler.aborted - scheduler.partial_ok
+    if not dead:
+        return
+    for item, chain in scheduler.chains().items():
+        owners = {version.writer for version in chain.versions}
+        owners.update(chain.reader_counts)
+        named = owners & dead
+        if named:
+            raise InvariantViolation(
+                f"chain of {item} holds entries of aborted {sorted(named)}"
+            )
+
+
 def check_all(scheduler: MTkScheduler) -> None:
     """Run every invariant against a scheduler's current state."""
     check_contiguous_prefixes(scheduler.table)
     check_distinct_last_column(scheduler.table)
     check_strict_partial_order(scheduler.table)
     check_indices_live(scheduler)
+    if isinstance(scheduler, MultiversionMixin):
+        check_chains_live(scheduler)

@@ -33,7 +33,7 @@ Options reproduce the paper's variants:
 from __future__ import annotations
 
 import copy
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..model.dependency import DependencyGraph
 from ..model.operations import Operation, OpKind
@@ -396,6 +396,20 @@ class MTkScheduler(Instrumented, Scheduler):
         """Mark a transaction finished (storage for its row may be reclaimed
         per III-D-6b once it stops being any item's most recent accessor)."""
         self.committed.add(txn)
+
+    def touched_items(self, txn: int) -> Iterable[str]:
+        """The items whose per-item index entries *txn*'s accesses
+        moved (and an abort of *txn* would move again)."""
+        return self._touched.get(txn, ())
+
+    def forget_remote(self, txn: int) -> list[str]:
+        """Roll back *txn*'s index entries and flush its row — the
+        replica side of a reject another shard issued; returns the items
+        whose index entries moved."""
+        items = list(self.touched_items(txn))
+        self._undo_indices(txn)
+        self.table.vector(txn).flush()
+        return items
 
     def reclaim_committed(self, include_aborted: bool = False) -> int:
         """Implementation note III-D-6b: free the timestamp-table rows of

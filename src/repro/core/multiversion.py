@@ -35,7 +35,10 @@ versions).  An abort or commit costs its own records.
 The scheduler is now split per Bohm's prescription: the visibility
 engine (``core/mvcc.py``) makes pure logical-ordering decisions and the
 *installation* side here applies the returned pins through the MT(k)
-``Set`` machinery, appends versions, and maintains ``RT``/``WT``.  The
+``Set`` machinery and appends versions and read records.  The version
+chain is the only per-item index: Algorithm 1's single-version
+``RT``/``WT`` and the access histories behind their abort-time restore
+stay empty, because no multiversion decision reads them.  The
 split makes "reads are abort-free" structural — a read resolution either
 names a version (plus at most one always-satisfiable pin) or trips the
 defensively-counted ``mv_read_aborts`` path that the conformance fuzzer
@@ -229,8 +232,6 @@ class MultiversionMixin:
                 self._source_readers[source] = {i}
             else:
                 readers.add(i)
-        self.table.set_rt(x, self._note_reader(chain, i))
-        self._record_access(op)
         reason = (
             ""
             if resolution.fresh
@@ -273,31 +274,9 @@ class MultiversionMixin:
                 validated = min(validated, index)
         chain.install(i).validated = validated
         self._index_entry(i).setdefault(x, None)
-        self.table.set_wt(x, i)
-        self._record_access(op)
         return Decision(DecisionStatus.ACCEPT, op)
 
     # ------------------------------------------------------------------
-    def _note_reader(self, chain: VersionChain, i: int) -> int:
-        """Incremental ``RT`` maintenance: fold the new reader into the
-        chain's cached maximal reader with a single comparison.  ``RT``
-        is an index hint here — multiversion decisions are made against
-        the chain, never against ``RT``/``WT`` — so the cache only needs
-        to be *a* maximal reader.  Once read records were dropped
-        (``rt_hint`` invalidation by a retraction or a collection) the
-        next read rescans every record of the chain: readers of one
-        version are mutually unordered, so no settled prefix bounds that
-        scan."""
-        hint = chain.rt_hint
-        if hint is None:
-            rt = self._maximal([reader for reader, _ in chain.reads])
-        elif hint == i:
-            rt = hint
-        else:
-            rt = self._maximal([hint, i])
-        chain.rt_hint = rt
-        return rt
-
     def chains_of(self, txn: int) -> list[VersionChain]:
         """The chains where *txn* holds a version or read record (a
         superset, from the chain index; empty once it was retracted)."""
@@ -341,15 +320,19 @@ class MultiversionMixin:
         return decision
 
     def _undo_indices(self, txn: int) -> None:
-        """Aborting a transaction also retracts its versions and recorded
+        """Aborting a transaction retracts its versions and recorded
         reads — a lingering aborted version would be served to future
-        readers.  (Readers that already consumed an aborted version are
-        the cascading-abort scenario: the executor tracks them as commit
+        readers — and that is all: there is no ``RT``/``WT`` to restore.
+        (Readers that already consumed an aborted version are the
+        cascading-abort scenario: the executor tracks them as commit
         dependencies — see :meth:`commit_dependencies` — parking them at
         commit and cascade-restarting them here; ``write_policy=
         "deferred"`` rules the cascade out entirely, per VI-C 2.)"""
-        super()._undo_indices(txn)
         self._retract_chains(txn)
+
+    def touched_items(self, txn: int) -> Iterable[str]:
+        """The items where *txn* holds a version or read record."""
+        return self._chain_index.get(txn, ())
 
     def commit(self, txn: int) -> None:
         """A committed transaction has no commit dependencies left to
@@ -367,9 +350,9 @@ class MultiversionMixin:
         """Roll back a transaction this scheduler never rejected (the
         executor's cascade: a version *txn* read was just retracted, or
         *txn* is the victim breaking a commit-dependency cycle).  Mirrors
-        the reject path's bookkeeping — RT/WT index repoints plus chain
-        retraction via :meth:`_undo_indices`, then a vector flush so the
-        fresh attempt starts clean — without marking *txn* aborted."""
+        the reject path's bookkeeping — chain retraction via
+        :meth:`_undo_indices`, then a vector flush so the fresh attempt
+        starts clean — without marking *txn* aborted."""
         self._undo_indices(txn)
         self.table.vector(txn).flush()
         self._c_restarts.inc()
@@ -453,10 +436,11 @@ class MultiversionMixin:
         return versions, reads
 
     def _reclaim_barrier(self) -> set[int]:
-        """Rows the chains still reference must survive row reclamation:
-        the base class only checks ``RT``/``WT``, but reclaiming a chain
-        writer's row would make later visibility walks compare against a
-        recreated all-undefined vector."""
+        """Rows the chains still reference must survive row reclamation
+        — the only protection a multiversion row has, since ``RT``/``WT``
+        and the access histories stay empty: reclaiming a chain writer's
+        or reader's row would make later visibility walks compare against
+        a recreated all-undefined vector."""
         barrier: set[int] = set()
         for chain in self._chains.values():
             barrier |= chain.referenced_txns()

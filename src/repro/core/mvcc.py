@@ -23,8 +23,8 @@ physical installation, this module separates them:
   explicit pin for the caller to apply.
 * The installation side lives in the scheduler
   (:class:`~repro.core.multiversion.MultiversionMixin`): it applies pins
-  through the MT(k) ``Set`` machinery, appends to chains and maintains
-  ``RT``/``WT``.
+  through the MT(k) ``Set`` machinery and appends to chains — the only
+  per-item index a multiversion scheduler keeps.
 
 The payoff is the paper's promise made structural: a read can only ever
 return a version (plus at most one always-satisfiable pin on an
@@ -105,7 +105,7 @@ class VersionChain:
     below the new writer first.
     """
 
-    __slots__ = ("versions", "reads", "reader_counts", "rt_hint")
+    __slots__ = ("versions", "reads", "reader_counts")
 
     def __init__(self, initial: Any = NO_VALUE) -> None:
         self.versions: list[ChainVersion] = [
@@ -117,11 +117,6 @@ class VersionChain:
         #: are absent), so :meth:`retract` touches the reads only for a
         #: transaction that has some.
         self.reader_counts: dict[int, int] = {}
-        #: cached maximal reader (the scheduler's incremental ``RT``
-        #: maintenance — one comparison per read instead of a scan over
-        #: every recorded reader).  ``None`` = recompute on next read;
-        #: invalidated whenever read records are dropped.
-        self.rt_hint: int | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -215,8 +210,6 @@ class VersionChain:
             removed += count
             for version in versions:
                 version.validated -= bisect_left(dropped, version.validated)
-            if self.rt_hint == txn:
-                self.rt_hint = None
         return removed
 
     # ------------------------------------------------------------------
@@ -295,22 +288,23 @@ class VersionChain:
                 for reader, _ in keep:
                     counts[reader] = counts.get(reader, 0) + 1
                 self.reader_counts = counts
-                self.rt_hint = None
                 # Collection is rare; re-basing every boundary over the
                 # reclaimed records buys nothing over one full rescan.
                 self.reset_validated()
         return versions_reclaimed, reads_reclaimed
 
     def referenced_txns(self) -> set[int]:
-        """Every transaction the chain still references (writers and
-        readers) — their timestamp-table rows must not be reclaimed, or a
-        later visibility walk would compare against a recreated
-        all-undefined vector."""
+        """Every transaction the chain still references (writers,
+        readers and read sources) — the rows a decision on this item may
+        compare or pin.  Their timestamp-table rows must not be
+        reclaimed, or a later visibility walk would compare against a
+        recreated all-undefined vector.  The virtual ``T_0`` is included
+        while its base version or a read of it is retained: a pin on the
+        base can write ``TS(0)``'s undefined elements."""
         referenced = {version.writer for version in self.versions}
         for reader, source in self.reads:
             referenced.add(reader)
             referenced.add(source)
-        referenced.discard(VIRTUAL_TXN)
         return referenced
 
 

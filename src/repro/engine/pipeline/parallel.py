@@ -16,9 +16,11 @@ persistent worker processes that communicate with the coordinator in
 Execution model (window-at-a-time; the service drives it):
 
 1. the coordinator drains an admission window and plans it with a
-   **row-conflict cut**: each operation ``op(i, x)`` claims the rows its
-   encodings may mutate — ``{i, RT(x), WT(x)}`` (Definition 6 encoding
-   writes into *both* vectors of a compared pair) — and the window is
+   **row-conflict cut**: each operation ``op(i, x)`` claims row ``i``
+   plus the item's *conflict rows*, the rows a decision on ``x`` may
+   compare or encode into (Definition 6 encoding writes into *both*
+   vectors of a compared pair): ``{RT(x), WT(x)}`` under MT(k), every
+   row ``x``'s version chain references under MVMT(k).  The window is
    cut the moment an entry claims a row another shard already claimed.
    Within one window every row therefore has a **single writing shard**
    (in particular a transaction's entries all land on one shard, since
@@ -29,7 +31,7 @@ Execution model (window-at-a-time; the service drives it):
    tuples/ints (no per-op objects), together with the replica rows the
    shard is missing; workers decide the whole batch locally and reply with
    ``(seq, decision_code)`` pairs, dirty-row snapshots, and the
-   ``RT``/``WT`` updates for every item the batch touched;
+   conflict rows of every item the batch touched;
 3. the coordinator merges replies **in admission (seq) order**, applies
    storage effects centrally, routes rejects through the existing
    :class:`~repro.engine.pipeline.admission.RetryPolicy` machinery, and
@@ -51,7 +53,9 @@ Message schema (all plain tuples, picklable, spawn-safe)::
         decisions = ((seq, code), ...)   # 0 accept / 1 ignore
                                          # 2 reject / 3 skip
         rows      = ((txn, snapshot), ...)   # dirtied this message
-        index     = ((item, rt, wt), ...)    # touched this message
+        index     = ((item, *rows), ...)     # touched this message
+        # rows: (rt, wt) under MT(k); under MVMT(k) every row the item's
+        # chain references, T0 included while the chain retains it
       ("err", worker_id, shard_ids, traceback_text)
 
 A worker applies one message in three strict passes — replica rows,
@@ -166,7 +170,7 @@ class ShardEngine:
             # Items are routed to their owning shard, so an item's whole
             # version chain lives (and is decided) here — decentralized
             # visibility needs no chain shipping, only the vector rows
-            # the extras column of the reply index names.
+            # the item's reply-index entry names.
             self.scheduler: MTkScheduler = MVMTkScheduler(
                 k, commit_aware=True, **shared
             )
@@ -258,19 +262,16 @@ class ShardEngine:
             return
         # "restart" / "drop": the coordinator resolved a reject for txn.
         if txn in scheduler.aborted:
-            # This engine issued the reject: its RT/WT undo already ran
+            # This engine issued the reject: its index undo already ran
             # inside _abort; restart() flushes the row.  A dropped
             # (failed) transaction never comes back, so clearing its
             # aborted mark is harmless.
             scheduler.restart(txn)
         else:
-            # Remote reject: repoint this replica's RT/WT away from txn
-            # for the local items it touched, then flush the local row.
-            touched = scheduler._touched.get(txn)
-            if touched:
-                self._dirty_items.update(touched)
-            scheduler._undo_indices(txn)
-            scheduler.table.vector(txn).flush()
+            # Remote reject (or cascade victim): roll txn's local index
+            # entries back and flush the local row; the items whose
+            # conflict rows moved are reported in the reply.
+            self._dirty_items.update(scheduler.forget_remote(txn))
         self._exported[txn] = scheduler.table.vector(txn).version
 
     # ------------------------------------------------------------------
@@ -286,49 +287,45 @@ class ShardEngine:
         rejected: set[int] = set()
         dirty_rows = self._dirty_rows
         dirty_items = self._dirty_items
-        touched_map = scheduler._touched
+        touched_items = scheduler.touched_items
         chains = scheduler.chains() if self.multiversion else None
         for seq, txn, kind_code, item in batch:
             if txn in rejected:
                 decisions.append((seq, CODE_SKIP))
                 continue
             dirty_items.add(item)
-            rt = table.rt(item)
-            wt = table.wt(item)
-            prior_touched = touched_map.get(txn)
+            if chains is None:
+                # The op's encodings may write into the pre-op pair
+                # {TS(rt), TS(wt)} besides TS(i) — export whichever
+                # actually changed (version-checked at collect, so
+                # over-approximating is free).
+                dirty_rows.add(table.rt(item))
+                dirty_rows.add(table.wt(item))
+            prior_touched = touched_items(txn)
             decision = scheduler.process(
                 Operation(_KINDS[kind_code], txn, item)
             )
             if decision.performed:
                 code = CODE_ACCEPT
-                # The op's encodings may have written into any of the
-                # pre-op pair {TS(i), TS(rt), TS(wt)} — export whichever
-                # actually changed.
                 dirty_rows.add(txn)
-                dirty_rows.add(rt)
-                dirty_rows.add(wt)
             elif decision.accepted:
                 code = CODE_IGNORE
             else:
                 code = CODE_REJECT
                 rejected.add(txn)
-                # _abort already repointed RT/WT for everything txn
-                # touched here; report those items' fresh indices.  The
-                # row itself is dirty too when anti-starvation re-seeded
-                # it (version-checked at export, so this is free
-                # otherwise).
+                # _abort already rolled back txn's index entries for
+                # everything it touched here; report those items' fresh
+                # conflict rows.  The row itself is dirty too when
+                # anti-starvation re-seeded it.
                 dirty_rows.add(txn)
-                if prior_touched:
-                    dirty_items.update(prior_touched)
+                dirty_items.update(prior_touched)
             if chains is not None:
-                # Multiversion pins may have written into any chain
-                # writer's or recorded reader's row (reader pins on an
-                # incomparable version, write-read PIN_BELOW moves) —
-                # export whichever actually changed (version-checked at
-                # collect, so over-approximating is free).
-                chain = chains.get(item)
-                if chain is not None:
-                    dirty_rows.update(chain.referenced_txns())
+                # Multiversion pins may have written into any row the
+                # item's chain references (reader pins on an
+                # incomparable version, write-read PIN_BELOW moves, a
+                # pin on the T0 base) — the rows its reply-index entry
+                # claims.
+                dirty_rows.update(chains[item].referenced_txns())
             if chains is not None and kind_code == 0 and code == CODE_ACCEPT:
                 # mvmt reads report which version writer they consumed as
                 # a third column: the coordinator gates the reader's
@@ -359,23 +356,13 @@ class ShardEngine:
                 rows.append((txn, row.snapshot()))
                 exported[txn] = row.version
         if self.multiversion:
-            # 4-tuple index entries: the extras column names every row
-            # the item's chain still references (version writers and
-            # recorded readers), which is exactly the conflict row-set a
-            # local visibility decision may read or pin — the planner
-            # claims them and the shipment planner replicates them.
-            # (Plain MT(k) keeps 3-tuples so its wire format — and the
-            # frozen recovery corpus riding it — is byte-identical.)
+            # The conflict rows of a multiversion item are every row its
+            # chain references: exactly what a local visibility decision
+            # may compare or pin — the planner claims them and the
+            # shipment planner replicates them.
             chains = scheduler.chains()
             index: tuple = tuple(
-                (
-                    item,
-                    table.rt(item),
-                    table.wt(item),
-                    tuple(sorted(chain.referenced_txns()))
-                    if (chain := chains.get(item)) is not None
-                    else (),
-                )
+                (item, *sorted(chains[item].referenced_txns()))
                 for item in sorted(self._dirty_items)
             )
         else:
@@ -626,8 +613,8 @@ class ParallelShardSet:
     **row store** (the latest exported snapshot of every row, versioned
     so each shard only receives rows it lacks), per-shard **watermarks**
     of what was already shipped, and the **item index** — the
-    authoritative ``item -> (RT, WT)`` map rebuilt from worker replies,
-    which window planning uses to compute conflict row-sets.
+    authoritative ``item -> conflict rows`` map rebuilt from worker
+    replies, which window planning claims and ships.
     """
 
     def __init__(
@@ -680,10 +667,7 @@ class ParallelShardSet:
         self._have: dict[int, dict[int, int]] = {
             shard: {} for shard in range(spec.n_shards)
         }
-        self._item_index: dict[str, tuple[int, int]] = {}
-        # mvmt only: item -> rows its chain references (extras column of
-        # the 4-tuple reply index); always empty under plain MT(k).
-        self._item_extras: dict[str, tuple[int, ...]] = {}
+        self._item_rows: dict[str, tuple[int, ...]] = {}
         self._engine_stats: dict[int, tuple] = {}
         # mvmt only: seq -> version writer the window's accepted reads
         # consumed (third decision column); refreshed per reply merge.
@@ -715,8 +699,7 @@ class ParallelShardSet:
         self._store.clear()
         for have in self._have.values():
             have.clear()
-        self._item_index.clear()
-        self._item_extras.clear()
+        self._item_rows.clear()
         self._engine_stats.clear()
         self.window_sources.clear()
         for shard in self.shards:
@@ -756,16 +739,13 @@ class ParallelShardSet:
     # ------------------------------------------------------------------
     # Planning surface
     # ------------------------------------------------------------------
-    def item_index(self, item: str) -> tuple[int, int]:
-        """The authoritative ``(RT, WT)`` for *item* as of the last
-        reply (fresh items default to the virtual T0)."""
-        return self._item_index.get(item, (VIRTUAL_TXN, VIRTUAL_TXN))
-
-    def item_refs(self, item: str) -> tuple[int, ...]:
-        """Extra conflict rows a multiversion decision on *item* may
-        touch (its chain's writers and recorded readers, per the last
-        reply); always empty under plain MT(k)."""
-        return self._item_extras.get(item, ())
+    def item_rows(self, item: str) -> tuple[int, ...]:
+        """The rows a decision on *item* may compare or encode into, as
+        of the last reply: ``(RT, WT)`` under MT(k), every row the
+        item's version chain references under MVMT(k).  A fresh item's
+        only such row is the virtual T0 (its ``RT``/``WT``, or the
+        writer of its base version)."""
+        return self._item_rows.get(item, (VIRTUAL_TXN,))
 
     def gc_command(self, active_ids: Iterable[int]) -> tuple:
         """Build a ``("gc", rows, active_ids)`` broadcast: fresh row
@@ -826,8 +806,7 @@ class ParallelShardSet:
         self._store.clear()
         for have in self._have.values():
             have.clear()
-        self._item_index.clear()
-        self._item_extras.clear()
+        self._item_rows.clear()
 
     # ------------------------------------------------------------------
     # The windowed protocol
@@ -842,7 +821,7 @@ class ParallelShardSet:
 
         With an empty *batches* this is a **sync round**: commands-only,
         used after any window that produced rejects so every replica's
-        ``RT``/``WT`` repoints land before the next window is planned.
+        index rollbacks land before the next window is planned.
         """
         if self._transport is None:
             raise RuntimeError("call begin_run() before run_window()")
@@ -950,10 +929,7 @@ class ParallelShardSet:
                     store[txn] = (version, values)
                     have[txn] = version
                 for entry in index:
-                    item, rt, wt = entry[0], entry[1], entry[2]
-                    self._item_index[item] = (rt, wt)
-                    if len(entry) > 3:  # mvmt: chain-referenced rows
-                        self._item_extras[item] = tuple(entry[3])
+                    self._item_rows[entry[0]] = tuple(entry[1:])
                 self._engine_stats[shard_id] = stats
         return decisions
 
@@ -977,17 +953,10 @@ class ParallelShardSet:
         if not batch:
             return (), {}
         need: set[int] = set()
-        index = self._item_index
-        extras = self._item_extras
+        item_rows = self.item_rows
         for _seq, txn, _kind, item in batch:
-            rt, wt = index.get(item, (VIRTUAL_TXN, VIRTUAL_TXN))
             need.add(txn)
-            need.add(rt)
-            need.add(wt)
-            # mvmt: a visibility decision walks the whole chain and the
-            # recorded reads, so every row they reference must be as
-            # fresh as the coordinator knows it.
-            need.update(extras.get(item, ()))
+            need.update(item_rows(item))
         store = self._store
         have = self._have[shard_id]
         rows: list[tuple[int, tuple]] = []

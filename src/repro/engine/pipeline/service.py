@@ -121,7 +121,7 @@ class _LocalScheduler:
         aborted = getattr(scheduler, "aborted", None)
         if aborted is not None and txn_id not in aborted:
             # Cascade / cycle victim: the scheduler never rejected it, so
-            # no _abort undid its RT/WT index pins and restart() would
+            # no _abort retracted its chain entries and restart() would
             # balk — roll its scheduler state back directly (failed too:
             # a dead transaction must not stay an indexed accessor).
             forget = getattr(scheduler, "cascade_restart", None)
@@ -494,9 +494,10 @@ class PipelineExecutor(Instrumented):
     ) -> None:
         """Window-at-a-time execution over the parallel plane.
 
-        Planning claims each entry's conflict row-set ``{txn, RT(item),
-        WT(item)}`` for the item's shard and cuts the window when an
-        entry needs a row another shard already claimed (the cut entry
+        Planning claims each entry's row ``txn`` plus the item's
+        conflict rows (``plane.item_rows``) for the item's shard and cuts
+        the window when an entry needs a row another shard already
+        claimed (the cut entry
         carries over to open the next window).  Shard batches are
         decided remotely; this merge applies storage/undo/retry effects
         centrally, strictly in admission order, and queues the commands
@@ -532,28 +533,18 @@ class PipelineExecutor(Instrumented):
                     continue
                 op = state.txn.operations[position]
                 shard = router.shard_of_item(op.item)
-                rt, wt = plane.item_index(op.item)
-                conflict = (
-                    row_owner.get(txn_id, shard) != shard
-                    or row_owner.get(rt, shard) != shard
-                    or row_owner.get(wt, shard) != shard
-                )
-                # mvmt: visibility may pin any row the item's chain
-                # references (writers and recorded readers), so the
-                # window's single-writing-shard invariant must claim
-                # them all; always empty under plain MT(k).
-                refs = plane.item_refs(op.item)
-                if not conflict and refs:
-                    conflict = any(
-                        row_owner.get(row, shard) != shard for row in refs
-                    )
+                rows = plane.item_rows(op.item)
+                conflict = row_owner.get(txn_id, shard) != shard
+                if not conflict:
+                    for row in rows:
+                        if row_owner.get(row, shard) != shard:
+                            conflict = True
+                            break
                 if conflict:
                     carried = txn_id
                     break
                 row_owner[txn_id] = shard
-                row_owner[rt] = shard
-                row_owner[wt] = shard
-                for row in refs:
+                for row in rows:
                     row_owner[row] = shard
                 planned[txn_id] = position + 1
                 batches.setdefault(shard, []).append(
@@ -638,10 +629,10 @@ class PipelineExecutor(Instrumented):
                 commands.append(plane.gc_command(active))
             if "restart" in queued or "drop" in queued:
                 # Sync round: a rollback happened while merging, and the
-                # reject behind it repointed RT/WT at the rejecting
-                # engine; deliver the restart/drop commands now so every
-                # replica repoints (and reports the restored indices)
-                # before the next window is planned against item_index.
+                # reject behind it rolled back index entries at the
+                # rejecting engine; deliver the restart/drop commands now
+                # so every replica rolls back (and reports the restored
+                # conflict rows) before the next window is planned.
                 plane.run_window({}, tuple(commands))
                 commands.clear()
 

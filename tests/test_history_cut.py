@@ -234,7 +234,8 @@ def test_the_differential_streams_do_cut():
 
 
 # ----------------------------------------------------------------------
-# Through the service: one shard, four windowed shards, MVMT(3)
+# Through the service: one shard, four windowed shards; MVMT(3) keeps
+# no history at all
 # ----------------------------------------------------------------------
 def _service_run(monkeypatch, target, scheduler_class, programs, run, **service):
     """One ``TransactionService`` run with *scheduler_class* standing in
@@ -277,12 +278,6 @@ def _zipf(txns: int, seed: int):
             dict(k=3, anti_starvation=True, n_shards=4, parallel=0, window=32),
             id="mt3-four-shards-windowed",
         ),
-        pytest.param(
-            "repro.core.multiversion.MVMTkScheduler",
-            MVMTkScheduler,
-            dict(k=3, protocol="mvmt", anti_starvation=True, max_attempts=100),
-            id="mvmt3-one-shard",
-        ),
     ],
 )
 def test_service_runs_equal_the_full_scan(monkeypatch, target, base, service):
@@ -301,6 +296,54 @@ def test_service_runs_equal_the_full_scan(monkeypatch, target, base, service):
     assert cut_report.committed and not cut_report.failed
     assert sum(scheduler.scans for scheduler in built) > 50
     assert sum(scheduler.entries_cut for scheduler in built) > 50
+
+
+@pytest.mark.parametrize(
+    "service",
+    [
+        pytest.param(dict(), id="mvmt3-one-shard"),
+        pytest.param(
+            dict(n_shards=4, parallel=0, window=32),
+            id="mvmt3-four-shards-windowed",
+        ),
+    ],
+)
+def test_mvmt_service_keeps_no_single_version_index(monkeypatch, service):
+    """MVMT(k) decides against the version chain alone: after a run with
+    aborts and cascades, no scheduler kept ``RT``/``WT`` or an access
+    history, and no abort restored anything through ``_maximal``."""
+    restores = 0
+
+    class Counted(MVMTkScheduler):
+        def _maximal(self, history):
+            nonlocal restores
+            restores += 1
+            return super()._maximal(history)
+
+    built = []
+
+    class Recorded(Counted):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr("repro.core.multiversion.MVMTkScheduler", Recorded)
+    programs, arrivals = _zipf(600, seed=11)
+    with TransactionService(
+        k=3, protocol="mvmt", anti_starvation=True, max_attempts=100, **service
+    ) as front_door:
+        front_door.submit_programs(programs)
+        report = front_door.run(seed=11, arrivals=arrivals)
+        stats = front_door.executor.stats
+    assert report.committed and not report.failed
+    assert stats["aborts"] > 50 and stats["cascade_restarts"] > 0
+    assert built
+    for scheduler in built:
+        assert not scheduler.table._rt and not scheduler.table._wt
+        assert not scheduler._readers and not scheduler._writers
+        assert not scheduler._touched
+        assert scheduler.reads_from()
+    assert restores == 0
 
 
 def test_line9_escape_keeps_its_outcome(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.invariants import (
     InvariantViolation,
     check_all,
+    check_chains_live,
     check_contiguous_prefixes,
     check_distinct_last_column,
     check_strict_partial_order,
@@ -13,6 +14,7 @@ from repro.analysis.invariants import (
 from repro.core.mtk import MTkScheduler
 from repro.core.multiversion import MVMTkScheduler
 from repro.core.table import TimestampTable
+from repro.model.operations import read, write
 from tests.conftest import small_logs
 
 
@@ -79,3 +81,16 @@ class TestInvariantsDetectCorruption:
         table.vector(2).set(2, 3)
         with pytest.raises(InvariantViolation):
             check_strict_partial_order(table)
+
+    def test_aborted_chain_entry_detected(self):
+        """The chain form of index validity: an aborted transaction's
+        version left in a chain (as if the abort skipped the retraction)
+        is caught; the same state with the retraction passes."""
+        scheduler = MVMTkScheduler(3)
+        for op in (write(1, "x"), read(2, "x")):
+            assert scheduler.process(op).accepted
+        scheduler.aborted.add(1)
+        with pytest.raises(InvariantViolation, match="aborted \\[1\\]"):
+            check_chains_live(scheduler)
+        scheduler.prune_aborted(1)
+        check_chains_live(scheduler)  # T2's record *sourced* from T1 stays

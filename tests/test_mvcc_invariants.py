@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.multiversion as multiversion
+from repro.analysis.invariants import check_all
 from repro.core.multiversion import MVDMTkScheduler, MVMTkScheduler
 from repro.core.mvcc import ReaderCheck, VersionChain, VisibilityEngine
 from repro.core.table import VIRTUAL_TXN
@@ -104,7 +105,9 @@ class TestValidatedPrefix:
         """After every operation — accepted or rejected, with restarts,
         commits and grace-1 collections interleaved — each record in
         ``reads[:v.validated]`` has ``reader == v.writer`` or
-        ``TS(reader) < TS(v.writer)``, and chains stay totally ordered."""
+        ``TS(reader) < TS(v.writer)``, chains stay totally ordered, and
+        every table/chain invariant of ``check_all`` holds (no chain
+        entry of an aborted transaction, in particular)."""
         scheduler = MVMTkScheduler(
             k,
             commit_aware=commit_aware,
@@ -118,6 +121,7 @@ class TestValidatedPrefix:
         for op in log:
             scheduler.process(op)
             assert not _prefix_violations(scheduler), op
+            check_all(scheduler)
             if op.txn in scheduler.aborted:
                 # Same id, fresh attempt: the flush (or the re-seed kept
                 # by a partial rollback) must not strand a stale prefix.
@@ -623,3 +627,93 @@ class TestCommitDependencies:
         for reader, _item, source in svc.scheduler.reads_from():
             if reader in committed:
                 assert source in committed, (reader, source)
+
+
+class TestWindowedT0Claim:
+    """The virtual ``T_0 = <0, *, *>`` row is writable: ``Set(0, i)``
+    for a vector that ties ``TS(0, 1) = 0`` (one pinned below a writer
+    holding ``1``, say) decides at ``T_0``'s first undefined element and
+    encodes into it.  So a windowed MVMT entry claims ``T_0`` while its
+    item's chain references it, and no window has two shards writing
+    it."""
+
+    @staticmethod
+    def _t0_writers_per_window(monkeypatch) -> list[set[int]]:
+        from repro.engine.pipeline import parallel
+
+        windows: list[set[int]] = []
+        writers: set[int] = set()
+        run_batch = parallel.ShardEngine.run_batch
+        merge = parallel.ParallelShardSet._merge_replies
+
+        def watched_batch(self, batch):
+            row = self.scheduler.table.vector(VIRTUAL_TXN)
+            before = row.version
+            decisions = run_batch(self, batch)
+            if row.version != before:
+                writers.add(self.shard_id)
+            return decisions
+
+        def closing_merge(self, replies):
+            windows.append(set(writers))
+            writers.clear()
+            return merge(self, replies)
+
+        monkeypatch.setattr(parallel.ShardEngine, "run_batch", watched_batch)
+        monkeypatch.setattr(
+            parallel.ParallelShardSet, "_merge_replies", closing_merge
+        )
+        return windows
+
+    @staticmethod
+    def _run(seed: int) -> None:
+        from repro.engine.pipeline import TransactionService
+        from repro.model.generator import interleave
+
+        spec = WorkloadSpec(
+            num_txns=60, ops_per_txn=3, num_items=8, write_ratio=0.5,
+            skew=1.1,
+        )
+        rng = random.Random(seed)
+        txns = generate_transactions(spec, rng)
+        with TransactionService(
+            k=3, n_shards=4, parallel=0, window=8, protocol="mvmt",
+            anti_starvation=True, max_attempts=100,
+        ) as service:
+            service.submit_programs(txns)
+            service.run(schedule=interleave(txns, rng))
+
+    def test_fresh_and_base_holding_items_claim_t0(self):
+        chain = VersionChain()
+        assert VIRTUAL_TXN in chain.referenced_txns()
+        chain.install(5)
+        chain.record_read(6, 5)
+        assert chain.referenced_txns() == {VIRTUAL_TXN, 5, 6}
+        del chain.versions[0]  # what collection does to the base
+        assert chain.referenced_txns() == {5, 6}
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_t0_has_one_writing_shard_per_window(self, monkeypatch, seed):
+        windows = self._t0_writers_per_window(monkeypatch)
+        self._run(seed)
+        assert any(windows), "the stream must write T0 for this to bite"
+        assert all(len(shards) <= 1 for shards in windows)
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_without_the_claim_two_shards_write_t0(self, monkeypatch, seed):
+        """The claim is load-bearing: plan the same stream with ``T_0``
+        filtered out of every entry's rows and two shards write it in
+        one window."""
+        from repro.engine.pipeline.parallel import ParallelShardSet
+
+        item_rows = ParallelShardSet.item_rows
+        monkeypatch.setattr(
+            ParallelShardSet,
+            "item_rows",
+            lambda self, item: tuple(
+                row for row in item_rows(self, item) if row != VIRTUAL_TXN
+            ),
+        )
+        windows = self._t0_writers_per_window(monkeypatch)
+        self._run(seed)
+        assert any(len(shards) > 1 for shards in windows)

@@ -11,6 +11,10 @@ Three paths of the chain layer stopped scanning chain history:
 * ``VersionChain.retract`` finds a reader's records from its count —
   held to ``Counter(chain.reads)``, and shown to leave a second
   retraction nothing to read;
+* the chain is the only per-item index — a test-local scheduler that
+  still keeps Algorithm 1's ``RT``/``WT`` beside it (and restores them
+  on abort) decides, pins and encodes exactly what the shadow-free one
+  does;
 
 plus the bound itself, as counts: comparisons per read do not grow with
 the run.
@@ -25,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.multiversion as multiversion
+from repro.core.mtk import MTkScheduler
 from repro.core.multiversion import MVMTkScheduler
 from repro.core.mvcc import ReadResolution, VersionChain, VisibilityEngine
 from repro.core.table import VIRTUAL_TXN, TimestampTable
@@ -225,6 +230,96 @@ def test_the_hand_driven_streams_walk_deep(shadow):
     assert shadow.resolutions > 2000
     assert shadow.deep > 200
     assert reclaimed > 0
+
+
+# ----------------------------------------------------------------------
+# The single-version index decides nothing
+# ----------------------------------------------------------------------
+class Recording(MVMTkScheduler):
+    """Records every decision and pin, and the live vectors after each
+    operation."""
+
+    def reset(self):
+        super().reset()
+        self.steps: list[tuple] = []
+        self.vectors: list[dict] = []
+
+    def _set_less(self, j, i, item):
+        outcome = super()._set_less(j, i, item)
+        self.steps.append(("pin", j, i, item, outcome.ok, outcome.encoded))
+        return outcome
+
+    def process(self, op):
+        decision = super().process(op)
+        self.steps.append((str(op), decision.status.value, decision.reason))
+        self.vectors.append(self.table.snapshot())
+        return decision
+
+
+class KeepsShadowIndex(Recording):
+    """MVMT(k) as it was before the chain became its only index: every
+    accepted operation also sets ``RT``/``WT`` and extends the access
+    histories, and an abort restores them through ``_maximal``."""
+
+    def reset(self):
+        super().reset()
+        self.restores = 0
+
+    def _process_read(self, op):
+        decision = super()._process_read(op)
+        if decision.accepted:
+            readers = [reader for reader, _ in self._chains[op.item].reads]
+            self.table.set_rt(op.item, self._maximal(readers))
+            self._record_access(op)
+        return decision
+
+    def _process_write(self, op):
+        decision = super()._process_write(op)
+        if decision.accepted:
+            self.table.set_wt(op.item, op.txn)
+            self._record_access(op)
+        return decision
+
+    def _undo_indices(self, txn):
+        self.restores += bool(self._touched.get(txn))
+        MTkScheduler._undo_indices(self, txn)
+        super()._undo_indices(txn)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    mode=st.sampled_from(sorted(_MODES)),
+    commit_aware=st.booleans(),
+    reclaim_every=st.sampled_from((0, 3)),
+    commit_lag=st.sampled_from((0, 2, None)),
+)
+@settings(max_examples=120, deadline=None)
+def test_the_shadow_index_decides_nothing(
+    seed, mode, commit_aware, reclaim_every, commit_lag
+):
+    options = dict(commit_aware=commit_aware, **_MODES[mode])
+    run = dict(commit_lag=commit_lag, reclaim_every=reclaim_every)
+    bare, shadowed = Recording(3, **options), KeepsShadowIndex(3, **options)
+    assert drive(bare, seed, **run) == drive(shadowed, seed, **run)
+    assert bare.steps == shadowed.steps
+    # The shadow only keeps rows alive longer (RT/WT and the histories
+    # shield them from reclamation); every row both hold is equal.
+    for live, shadow in zip(bare.vectors, shadowed.vectors, strict=True):
+        assert live.items() <= shadow.items()
+    assert not bare.table._rt and not bare.table._wt
+    assert not bare._readers and not bare._writers and not bare._touched
+
+
+def test_the_shadow_streams_restore():
+    """The property above is not vacuous: the shadow scheduler indexes
+    and restores on the same streams."""
+    restores = 0
+    for seed in range(20):
+        scheduler = KeepsShadowIndex(3, commit_aware=seed % 2 == 0)
+        drive(scheduler, seed)
+        assert scheduler.table._rt and scheduler.table._wt
+        restores += scheduler.restores
+    assert restores > 50
 
 
 # ----------------------------------------------------------------------
