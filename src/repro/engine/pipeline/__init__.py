@@ -22,7 +22,7 @@ from .admission import (
     RetryPolicy,
     resolve_policy,
 )
-from .faults import Fault, FaultPlan, random_plan
+from .faults import Fault, FaultPlan, NodeCrash, random_plan
 from .parallel import (
     DEFAULT_WINDOW,
     ParallelExecutionError,
@@ -31,7 +31,7 @@ from .parallel import (
     default_start_method,
     plan_fanout,
 )
-from .recovery import DataNode, NodeCrash, RecoverableShardSet
+from .recovery import DataNode, RecoverableShardSet
 from .report import ExecutionReport
 from .transport import LoopbackTransport, NodeFailure, TcpTransport
 from .router import ShardRouter, stable_hash

@@ -109,6 +109,22 @@ class Fault:
         return f"Fault({' '.join(parts)})"
 
 
+class NodeCrash(Exception):
+    """Raised inside a data node when a scripted crash fault fires.
+
+    The transport turns it into process death (``os._exit`` for TCP,
+    dropping the node object for loopback).  ``reply`` carries a vote
+    that made it onto the wire before the crash (post-vote phase)."""
+
+    def __init__(
+        self, phase: str, window: int, reply: tuple | None = None
+    ) -> None:
+        super().__init__(f"scripted crash at {phase} of window {window}")
+        self.phase = phase
+        self.window = window
+        self.reply = reply
+
+
 class FaultPlan:
     """A consumable script of :class:`Fault` objects.
 

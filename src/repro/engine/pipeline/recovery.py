@@ -48,41 +48,20 @@ import tempfile
 from typing import Any, Mapping, Sequence
 
 from ...storage.wal import DurableLog
-from .faults import PRE_COMMIT, PRE_PREPARE, POST_VOTE, FaultPlan
+from .faults import PRE_COMMIT, PRE_PREPARE, POST_VOTE, FaultPlan, NodeCrash
 from .parallel import (
     DEFAULT_WINDOW,
     ParallelExecutionError,
     ParallelShardSet,
     _WorkerHost,
 )
-from .transport import (
-    LoopbackTransport,
-    NodeFailure,
-    TcpTransport,
-    _retuple,
-)
+from .transport import LoopbackTransport, NodeFailure, TcpTransport, retuple
 
 __all__ = [
     "DataNode",
     "NodeCrash",
     "RecoverableShardSet",
 ]
-
-
-class NodeCrash(Exception):
-    """Raised inside a data node when a scripted crash fault fires.
-
-    The transport turns it into process death (``os._exit`` for TCP,
-    dropping the node object for loopback).  ``reply`` carries a vote
-    that made it onto the wire before the crash (post-vote phase)."""
-
-    def __init__(
-        self, phase: str, window: int, reply: tuple | None = None
-    ) -> None:
-        super().__init__(f"scripted crash at {phase} of window {window}")
-        self.phase = phase
-        self.window = window
-        self.reply = reply
 
 
 class DataNode:
@@ -136,7 +115,7 @@ class DataNode:
                 self._prepared.clear()
                 self._decisions.clear()
             elif kind == "prepared":
-                self._prepared[record["window"]] = _retuple(
+                self._prepared[record["window"]] = retuple(
                     record["payload"]
                 )
             elif kind == "decision":

@@ -16,10 +16,18 @@ code (the same discipline PR 6 used for ``_WorkerHost``):
 
 Wire format: a frame is a 4-byte big-endian length followed by that
 many bytes of UTF-8 JSON.  Messages are plain tuples (lists on the
-wire; :func:`decode_payload` re-tuples recursively) of ints, strings,
-``null`` (undefined timestamp elements) and ``(counter, site)`` pairs —
-the same spawn-safe vocabulary as the PR 6 pipe schema, now actually
-language-neutral.
+wire) of ints, strings, ``null`` (undefined timestamp elements) and
+``(counter, site)`` pairs — the same spawn-safe vocabulary as the PR 6
+pipe schema, now actually language-neutral.
+
+The codec is built once per process: :func:`encode_payload` is
+``json.dumps(message, separators=(",", ":"))`` byte for byte through
+one prebuilt encoder, :func:`decode_payload` is ``json.loads`` through
+one prebuilt decoder (the same errors on truncated or trailing bytes),
+and :func:`retuple` turns the decoded arrays back into tuples at every
+depth, recursing into containers only.  :func:`roundtrip` looks both
+codec functions up as module globals on every call, so wrapping them
+here wraps every loopback frame.
 
 Message faults (drop / duplicate / delay) are realized here, on the
 coordinator side of the wire, for both transports — so TCP runs inject
@@ -35,7 +43,7 @@ import os
 import socket
 from typing import Any, Mapping
 
-from .faults import FaultPlan
+from .faults import FaultPlan, NodeCrash
 from .parallel import ParallelExecutionError, default_start_method
 
 #: Frame header width: payload length as a big-endian unsigned int.
@@ -56,21 +64,46 @@ class NodeFailure(ParallelExecutionError):
 # ----------------------------------------------------------------------
 # Codec
 # ----------------------------------------------------------------------
-def _retuple(value: Any) -> Any:
-    """JSON arrays come back as lists; the engine speaks tuples."""
-    if isinstance(value, list):
-        return tuple(_retuple(item) for item in value)
-    if isinstance(value, dict):
-        return {key: _retuple(item) for key, item in value.items()}
+#: The one wire encoder: ``json.dumps(m, separators=(",", ":"))`` byte
+#: for byte, without building a ``JSONEncoder`` per frame.  Messages are
+#: trees of tuples, never cyclic, so the circular-reference ledger the C
+#: encoder would keep per container buys nothing.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+#: ``json.loads``'s own decoder: the same strictness (truncated frames
+#: and trailing bytes raise ``ValueError``).
+_decode = json.JSONDecoder().decode
+#: The only containers the decoder builds.
+_NESTED = frozenset((list, dict))
+
+
+def retuple(value: Any) -> Any:
+    """JSON arrays come back as lists; the engine speaks tuples.
+
+    Takes decoder output (exact ``list`` / ``dict`` containers) and
+    returns it with every array a tuple, dict values included.  Only
+    containers recurse: scalars are copied inside the comprehension,
+    with no call per scalar."""
+    if type(value) is list:
+        return tuple(
+            [
+                retuple(item) if type(item) in _NESTED else item
+                for item in value
+            ]
+        )
+    if type(value) is dict:
+        return {
+            key: retuple(item) if type(item) in _NESTED else item
+            for key, item in value.items()
+        }
     return value
 
 
 def encode_payload(message: Any) -> bytes:
-    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(message).encode("utf-8")
 
 
 def decode_payload(data: bytes) -> Any:
-    return _retuple(json.loads(data.decode("utf-8")))
+    return retuple(_decode(data.decode("utf-8")))
 
 
 def roundtrip(message: Any) -> Any:
@@ -189,8 +222,6 @@ class LoopbackTransport(_FaultingEndpoint):
         return sorted(self._meta)
 
     def send(self, node_id: int, message: tuple) -> None:
-        from .recovery import NodeCrash
-
         node = self._nodes.get(node_id)
         if node is None:
             raise NodeFailure(node_id, "is down")
@@ -262,7 +293,7 @@ def _node_server_main(
     report it, then serve frames until ``stop``, EOF, or a crash fault."""
     import traceback
 
-    from .recovery import DataNode, NodeCrash
+    from .recovery import DataNode
 
     node = DataNode(
         node_id, shard_ids, config, log_path, FaultPlan.from_dict(fault_spec)

@@ -107,6 +107,13 @@ class UndoLog:
         return len(self._records.get(txn, ()))
 
 
+#: The one record encoder: ``json.dumps(record, sort_keys=True)`` byte
+#: for byte, without building a ``JSONEncoder`` per record.  Records are
+#: trees of dicts and tuples, never cyclic, so the circular-reference
+#: ledger is skipped.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 class DurableLog:
     """Append-only JSONL redo log with torn-tail recovery.
 
@@ -129,13 +136,13 @@ class DurableLog:
     # ------------------------------------------------------------------
     def append(self, record: dict) -> None:
         """Durably append one record (atomic at line granularity)."""
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
+        self._file.write(_RECORD_ENCODER.encode(record) + "\n")
         self._file.flush()
 
     def append_torn(self, record: dict) -> None:
         """Fault injection only: write a *partial* record with no
         terminating newline, simulating a crash mid-append."""
-        text = json.dumps(record, sort_keys=True)
+        text = _RECORD_ENCODER.encode(record)
         self._file.write(text[: max(1, len(text) // 2)])
         self._file.flush()
 
@@ -167,7 +174,7 @@ class DurableLog:
         records = self.replay()
         self._file.close()
         good = "".join(
-            json.dumps(record, sort_keys=True) + "\n" for record in records
+            _RECORD_ENCODER.encode(record) + "\n" for record in records
         )
         with open(self.path, "w", encoding="utf-8") as handle:
             handle.write(good)

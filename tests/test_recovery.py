@@ -19,9 +19,12 @@ tests at the bottom.
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check.oracle import SerializabilityOracle
 from repro.engine.pipeline import (
@@ -40,8 +43,13 @@ from repro.engine.pipeline.faults import (
     PRE_COMMIT,
     PRE_PREPARE,
 )
+from repro.engine.pipeline import transport
 from repro.engine.pipeline.shard import ShardSpec
-from repro.engine.pipeline.transport import roundtrip
+from repro.engine.pipeline.transport import (
+    decode_payload,
+    encode_payload,
+    roundtrip,
+)
 from repro.storage.wal import DurableLog
 
 from tests.test_parallel import make_workload, report_tuple
@@ -146,6 +154,41 @@ def involvement(seed, *, n_shards=4, nodes=2, window=4):
 
 
 # ----------------------------------------------------------------------
+# The wire vocabulary
+# ----------------------------------------------------------------------
+_INT64 = st.integers(min_value=-(2**63), max_value=2**64 - 1)
+#: Scalars on the wire: ints (negative, and 64-bit packed values), null
+#: for an undefined timestamp element, item names in any script.
+_SCALARS = st.one_of(st.none(), _INT64, st.text(max_size=8))
+#: A ``(counter, site)`` timestamp element as snapshots carry it.
+_PAIRS = st.tuples(st.integers(0, 2**40), st.integers(0, 63))
+_WIRE = st.recursive(
+    st.one_of(_SCALARS, _PAIRS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+#: Whole frames: the engine only ever ships tuples at the top level.
+_FRAMES = st.lists(_WIRE, max_size=6).map(tuple)
+#: Log records: str-keyed dicts of wire values.
+_RECORDS = st.dictionaries(st.text(max_size=6), _WIRE, max_size=5)
+
+
+def _assert_same_types(got, want):
+    """``type(x) is type(y)`` at every depth, dict values included."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, tuple):
+        for left, right in zip(got, want):
+            _assert_same_types(left, right)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key, value in want.items():
+            _assert_same_types(got[key], value)
+
+
+# ----------------------------------------------------------------------
 # DurableLog
 # ----------------------------------------------------------------------
 class TestDurableLog:
@@ -205,6 +248,31 @@ class TestDurableLog:
         log.append({"type": "begin"})
         assert log.replay() == [{"type": "begin"}]
         log.close()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(_RECORDS, max_size=5),
+        torn=_RECORDS,
+    )
+    def test_append_torn_repair_lines_match_json_dumps(self, records, torn):
+        """Every write path shares one record encoder: the log a crash
+        leaves behind and the one ``repair`` rewrites are the lines
+        ``json.dumps(record, sort_keys=True)`` would have produced."""
+        lines = [
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        ]
+        torn_text = json.dumps(torn, sort_keys=True)
+        with tempfile.TemporaryDirectory() as state_dir:
+            path = Path(state_dir) / "node.wal"
+            log = DurableLog(str(path))
+            for record in records:
+                log.append(record)
+            log.append_torn(torn)
+            written = path.read_text(encoding="utf-8")
+            assert written == "".join(lines) + torn_text[: len(torn_text) // 2]
+            log.repair()
+            log.close()
+            assert path.read_text(encoding="utf-8") == "".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +362,59 @@ class TestWireCodec:
         message = ("vote", 3, {"decisions": [[1, 0], [2, 2]]})
         got = roundtrip(message)
         assert got[2]["decisions"] == ((1, 0), (2, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(message=_WIRE)
+    def test_encode_is_json_dumps_byte_for_byte(self, message):
+        assert encode_payload(message) == json.dumps(
+            message, separators=(",", ":")
+        ).encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(message=_WIRE)
+    def test_decode_restores_tuples_at_every_depth(self, message):
+        got = decode_payload(encode_payload(message))
+        assert got == message
+        _assert_same_types(got, message)
+
+    @settings(max_examples=100, deadline=None)
+    @given(message=_FRAMES, data=st.data())
+    def test_truncated_frame_raises(self, message, data):
+        frame = encode_payload(message)
+        cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+        with pytest.raises(ValueError):
+            decode_payload(frame[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        message=_WIRE,
+        garbage=st.sampled_from(
+            [b"x", b"]", b"}", b",1", b"[]", b" 0", b"\xff"]
+        ),
+    )
+    def test_trailing_garbage_raises(self, message, garbage):
+        with pytest.raises(ValueError):
+            decode_payload(encode_payload(message) + garbage)
+
+    def test_roundtrip_goes_through_the_module_codec(self, monkeypatch):
+        """The tracer's ``transport.encode/decode/bytes`` ledger rows wrap
+        the module globals; a ``roundtrip`` that bound the codec any
+        other way would leave those rows silently at zero."""
+        calls = {"encode": 0, "decode": 0}
+
+        def counting_encode(message):
+            calls["encode"] += 1
+            return encode_payload(message)
+
+        def counting_decode(data):
+            calls["decode"] += 1
+            return decode_payload(data)
+
+        monkeypatch.setattr(transport, "encode_payload", counting_encode)
+        monkeypatch.setattr(transport, "decode_payload", counting_decode)
+        message = ("prepare", 7, ("run", (), ((0, (), ((0, 1, 1, "x"),)),)))
+        assert transport.roundtrip(message) == message
+        assert calls == {"encode": 1, "decode": 1}
 
 
 # ----------------------------------------------------------------------
