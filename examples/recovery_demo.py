@@ -51,11 +51,15 @@ def submit_transfers(service: TransactionService, rng: random.Random) -> None:
 
 
 def run_once(transport: str | None, fault_plan: FaultPlan | None = None):
-    kwargs = {}
+    hosts = {"parallel": 0}
     if transport is not None:
-        kwargs = {"transport": transport, "fault_plan": fault_plan}
+        hosts = {
+            "parallel": NODES,
+            "transport": transport,
+            "fault_plan": fault_plan,
+        }
     service = TransactionService(
-        k=2, n_shards=N_SHARDS, parallel=NODES, window=WINDOW, **kwargs
+        k=2, n_shards=N_SHARDS, window=WINDOW, **hosts
     )
     try:
         submit_transfers(service, random.Random(SEED))
@@ -102,7 +106,9 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    reference = describe("fault-free reference (pipe plane)", *run_once(None))
+    reference = describe(
+        "fault-free reference (in-process plane)", *run_once(None)
+    )
 
     plan = FaultPlan(
         [

@@ -26,15 +26,13 @@ outcomes against the paper's (empirically verified) class hierarchy:
   ``TransactionExecutor(MTkScheduler(2))`` — same committed/failed
   sets, same counters, same committed-operation sequence
   (``pipeline-legacy-equivalence``);
-* the parallel execution plane must be a pure transport: for every
-  shard count the windowed lane running MT(2) shard schedulers in
-  worker *processes* must produce a report bit-for-bit identical to
-  the same windowed plan executed in-process (``parallel-equivalence``),
-  and that common report's committed projection must be DSR
-  (``parallel-dsr``).  A deliberately small window forces multi-window
+* the in-process windowed plane must commit a DSR projection for every
+  shard count (``parallel-dsr``): it is its own deterministic
+  interleaving, distinct from the staged lane, so its soundness is
+  checked separately.  A deliberately small window forces multi-window
   plans so the cross-window carry/merge paths are exercised.  Off by
-  default (worker pools per case are expensive); enabled via
-  ``FuzzConfig(parallel=True)`` or ``check_case(check_parallel=True)``;
+  default; enabled via ``FuzzConfig(parallel=True)`` or
+  ``check_case(check_parallel=True)``;
 * the multiversion pipeline must be serializable end to end
   (``mvcc-equivalence``, ``mvcc-overlap``, ``mvcc-read-aborts``): for
   every shard count a ``TransactionService(protocol="mvmt")`` run's
@@ -49,7 +47,8 @@ outcomes against the paper's (empirically verified) class hierarchy:
 * the crash-recoverable data plane must survive deterministic fault
   injection invisibly (``recovery-equivalence``, ``recovery-dsr``):
   for every shard count the recoverable loopback transport with no
-  faults is bit-identical to ``workers=0``, and under random
+  faults is bit-identical to the in-process windowed plane, and under
+  random
   :class:`~repro.engine.pipeline.faults.FaultPlan` scripts (node
   crashes at 2PC phase boundaries, dropped/duplicated/delayed
   messages, torn coordinator WAL appends) every crashed-and-recovered
@@ -426,7 +425,7 @@ def mvcc_violations(
     return violations
 
 
-#: Window size the parallel-equivalence rule runs at.  Deliberately
+#: Window size the windowed-plane rules run at.  Deliberately
 #: tiny: fuzz cases are a handful of operations, and a small window
 #: forces multi-window plans so the carried-decision, row-shipping and
 #: cross-window merge paths are all exercised rather than a single
@@ -439,18 +438,11 @@ def parallel_violations(
     oracle: SerializabilityOracle | None = None,
     shards: tuple[int, ...] = DEFAULT_SHARDS,
     window: int = PARALLEL_FUZZ_WINDOW,
-    workers: int = 2,
 ) -> list[Violation]:
-    """Parallel-plane checks: worker processes must be a pure transport.
-
-    For every shard count, the windowed lane is run twice over the same
-    schedule — once in-process (``parallel=0``) and once with *workers*
-    worker processes — and the two reports must match bit for bit
-    (``parallel-equivalence``): same committed/failed sets, same retry
-    and undo counters, same committed-operation sequence.  The common
-    committed projection must additionally be DSR (``parallel-dsr``) —
-    the windowed lane is its own deterministic interleaving, distinct
-    from the staged lane, so its soundness is checked separately.
+    """Windowed-plane check: for every shard count the in-process
+    windowed lane's committed projection must be DSR (``parallel-dsr``)
+    — it is its own deterministic interleaving, distinct from the staged
+    lane, so its soundness is checked separately.
     """
     oracle = oracle if oracle is not None else SerializabilityOracle()
     violations: list[Violation] = []
@@ -459,36 +451,22 @@ def parallel_violations(
     if not transactions:
         return violations
     for n_shards in shards:
-        reports = []
-        for parallel in (0, workers):
-            service = TransactionService(
-                k=2, n_shards=n_shards, parallel=parallel, window=window
-            )
-            try:
-                service.submit_programs(transactions)
-                reports.append(service.run(schedule=log))
-            finally:
-                service.close()
-        inline, processed = reports
-        mismatches = _report_mismatches(processed, inline)
-        if mismatches:
-            violations.append(
-                Violation(
-                    "parallel-equivalence",
-                    text,
-                    f"parallel[shards={n_shards}, workers={workers}, "
-                    f"window={window}] diverged from in-process windowed "
-                    f"execution in: {', '.join(mismatches)}",
-                )
-            )
-        if not oracle.is_dsr(inline.committed_log):
+        service = TransactionService(
+            k=2, n_shards=n_shards, parallel=0, window=window
+        )
+        try:
+            service.submit_programs(transactions)
+            report = service.run(schedule=log)
+        finally:
+            service.close()
+        if not oracle.is_dsr(report.committed_log):
             violations.append(
                 Violation(
                     "parallel-dsr",
                     text,
                     f"parallel[shards={n_shards}, window={window}] "
                     "committed a non-DSR projection "
-                    f"{inline.committed_log}",
+                    f"{report.committed_log}",
                 )
             )
     return violations
@@ -534,7 +512,7 @@ def recovery_violations(
     For every shard count three things are pinned:
 
     * the recoverable **loopback transport with no faults** is
-      bit-identical to the plain ``workers=0`` windowed lane
+      bit-identical to the in-process windowed lane
       (``recovery-equivalence`` — 2PC, durable logs and the wire codec
       must all be invisible when nothing fails);
     * under *plans* deterministic random fault plans (node crashes at
@@ -593,7 +571,7 @@ def recovery_violations(
                     text,
                     f"recovery[shards={n_shards}, nodes={nodes}, "
                     f"window={window}] loopback no-fault run diverged "
-                    f"from workers=0 in: {', '.join(mismatches)}",
+                    f"from the inline plane in: {', '.join(mismatches)}",
                 )
             )
         rng = random.Random(f"recovery:{n_shards}:{text}")
@@ -654,8 +632,8 @@ class FuzzConfig:
     max_counterexamples: int = 5
     #: Shard counts the pipeline service is checked with per case.
     shards: tuple[int, ...] = DEFAULT_SHARDS
-    #: Also run the ``parallel-equivalence`` rule per case (spins up a
-    #: worker pool per shard count, so it is opt-in).
+    #: Also run the ``parallel-dsr`` rule per case (a windowed run per
+    #: shard count; opt-in).
     parallel: bool = False
     #: Also run the ``recovery-equivalence``/``recovery-dsr`` rules per
     #: case (durable logs + fault-plan retries per shard count; opt-in).

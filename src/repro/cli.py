@@ -11,10 +11,6 @@ Commands
     Run the Fig. 4 region census over small two-step systems.
 ``protocols``
     List the available protocols and their options.
-``bench [--quick] [--scenario NAME ...] [--out PATH] [--jobs N] [--profile]``
-    Run the consolidated benchmark scenarios and write ``BENCH_repro.json``;
-    ``--jobs`` fans scenario×seed cells over a process pool, ``--profile``
-    attaches cProfile hotspot breakdowns.
 ``check [--exhaustive N Q M | --fuzz N --seed S] [--json] [--out PATH]``
     Conformance oracle: exhaustively sweep every log of a small scope, or
     differentially fuzz all schedulers against the class hierarchy and
@@ -143,65 +139,6 @@ def cmd_protocols(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .obs import bench
-
-    if args.list:
-        for name, scenario in sorted(bench.scenarios().items()):
-            print(f"{name:22s} {scenario.description}")
-        return 0
-    try:
-        payload = bench.run_bench(
-            quick=args.quick,
-            only=args.scenario or None,
-            out=args.out,
-            jobs=args.jobs,
-            profile=args.profile,
-            parallel=args.parallel,
-            window=args.window,
-            transport=args.transport,
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}")
-        return 2
-    problems = bench.validate_payload(payload)
-    rows = [
-        [
-            name,
-            result["throughput"],
-            result["aborts"],
-            result["restarts"],
-            result["element_visits"],
-            result["wall_ms"],
-        ]
-        for name, result in sorted(payload["scenarios"].items())
-    ]
-    print(
-        render_table(
-            ["scenario", "txn/s", "aborts", "restarts", "visits", "wall_ms"],
-            rows,
-            title=f"bench ({'quick' if args.quick else 'full'} mode)",
-        )
-    )
-    if args.profile:
-        for name in sorted(payload["scenarios"]):
-            hotspots = payload["scenarios"][name].get("profile", [])
-            if not hotspots:
-                continue
-            print(f"\nhotspots: {name}")
-            for row in hotspots:
-                print(
-                    f"  {row['tottime_ms']:9.3f}ms "
-                    f"{row['calls']:>8} calls  {row['function']}"
-                )
-    if args.out:
-        print(f"wrote {args.out}")
-    if problems:
-        print("schema problems:", "; ".join(problems))
-        return 1
-    return 0
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     import json
 
@@ -322,64 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_protocols = sub.add_parser("protocols", help="list protocols")
     p_protocols.set_defaults(func=cmd_protocols)
 
-    p_bench = sub.add_parser(
-        "bench", help="run the consolidated benchmark scenarios"
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", help="fewer seeds (CI smoke mode)"
-    )
-    p_bench.add_argument(
-        "--scenario",
-        action="append",
-        metavar="NAME",
-        help="run only this scenario (repeatable); default: all",
-    )
-    p_bench.add_argument(
-        "--out",
-        default="BENCH_repro.json",
-        help="output path (default: BENCH_repro.json)",
-    )
-    p_bench.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan scenario×seed cells out over N worker processes",
-    )
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach per-scenario cProfile hotspot breakdowns to the JSON",
-    )
-    p_bench.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override worker-process count for windowed-plane scenarios "
-        "(0 = in-process engines; forces --jobs 1 when N > 1)",
-    )
-    p_bench.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="W",
-        help="override the admission window size for windowed-plane "
-        "scenarios",
-    )
-    p_bench.add_argument(
-        "--transport",
-        choices=("pipe", "loopback", "tcp"),
-        default=None,
-        help="override the parallel-plane transport for windowed-plane "
-        "scenarios (pipe = PR 6 multiprocessing pipes; loopback/tcp = "
-        "the crash-recoverable 2PC data plane); requires --parallel",
-    )
-    p_bench.add_argument(
-        "--list", action="store_true", help="list scenarios and exit"
-    )
-    p_bench.set_defaults(func=cmd_bench)
-
     p_check = sub.add_parser(
         "check", help="conformance oracle: exhaustive sweep / fuzzing"
     )
@@ -416,15 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--check-parallel",
         action="store_true",
-        help="also fuzz the parallel execution plane: worker-process "
-        "runs must be bit-identical to in-process windowed runs at "
-        "every shard count (slower; spawns worker pools per case)",
+        help="also fuzz the in-process windowed plane: its committed "
+        "projection must be DSR at every shard count",
     )
     p_check.add_argument(
         "--check-recovery",
         action="store_true",
         help="also fuzz the crash-recoverable data plane: loopback "
-        "no-fault runs must be bit-identical to workers=0, and every "
+        "no-fault runs must be bit-identical to the inline plane, and every "
         "crashed-and-recovered run (random fault plans per case) must "
         "equal the fault-free run with a DSR committed projection",
     )

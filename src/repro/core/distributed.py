@@ -38,6 +38,7 @@ remains sound (every accepted log is DSR).
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, Mapping
 
 from ..distributed.network import MsgKind, Network
@@ -78,6 +79,16 @@ class _JoiningEncoding(NormalEncoding):
         super().encode_semi(ts_j, ts_i, position, counters, item)
 
 
+def stable_hash(item: str) -> int:
+    """Deterministic, process-independent hash of an item name.
+
+    The builtin ``hash(str)`` is salted per interpreter
+    (``PYTHONHASHSEED``): item placement built on it — and with it every
+    message count — would change from run to run.  ``zlib.crc32`` is a
+    pure function of the name."""
+    return zlib.crc32(item.encode("utf-8"))
+
+
 class DMTkScheduler(MTkScheduler):
     """DMT(k): MT(k) with per-site counters, vector locks, and messages."""
 
@@ -113,7 +124,7 @@ class DMTkScheduler(MTkScheduler):
             raise ValueError("need one clock skew per site")
         self._site_of_txn = site_of_txn or (lambda txn: txn % num_sites)
         self._site_of_item = site_of_item or (
-            lambda item: hash(item) % num_sites
+            lambda item: stable_hash(item) % num_sites
         )
         super().__init__(
             k,

@@ -12,9 +12,10 @@ in ``O(log k)`` parallel time, in five phases:
    holds the first differing position (constant time);
 5. *decide*: compare ``a_m`` with ``b_m`` at that lane (constant time).
 
-Real SIMD hardware is simulated: each phase operates on whole numpy lanes
-and the simulator counts **parallel steps**, so Theorem 4's complexity claim
-(``O(log k)`` steps vs the sequential ``O(k)``) is measurable.  Undefined
+Real SIMD hardware is simulated: each phase operates on whole lanes (one
+list element per processor) and the simulator counts **parallel steps**,
+so Theorem 4's complexity claim (``O(log k)`` steps vs the sequential
+``O(k)``) is measurable.  Undefined
 elements are handled per the paper's remark ("the algorithm can be easily
 refined without affecting the time complexity"): lanes carry a definedness
 bit, the subtract phase marks a lane as *differing* when exactly one side is
@@ -26,8 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .timestamp import (
     Comparison,
@@ -89,14 +88,12 @@ class VectorComparator:
         steps += 1
 
         # Phase 2: subtract — lanes differ when values differ or exactly
-        # one side is undefined.                                    [1 step]
-        both_defined = a_def & b_def
-        neither_defined = ~a_def & ~b_def
-        c = np.where(
-            neither_defined,
-            1,
-            np.where(both_defined, (a_vals != b_vals).astype(np.int8), 1),
-        ).astype(np.int8)
+        # one side is undefined (both undefined also marks the lane, and
+        # the decide phase reads it as ``=``).                      [1 step]
+        c = [
+            int(not (da and db) or va != vb)
+            for va, da, vb, db in zip(a_vals, a_def, b_vals, b_def)
+        ]
         steps += 1
 
         # Phase 3: parallel prefix OR over a binary tree (Fig. 7).
@@ -104,16 +101,17 @@ class VectorComparator:
         steps += tree_steps
 
         # Phase 4: boundary detect — d_i = 1 and d_{i-1} = 0.       [1 step]
-        shifted = np.concatenate(([0], d[:-1])).astype(np.int8)
-        boundary = (d == 1) & (shifted == 0)
+        boundary = [
+            di == 1 and prev == 0 for di, prev in zip(d, [0] + d[:-1])
+        ]
         steps += 1
 
         # Phase 5: decide at the boundary lane.                     [1 step]
         steps += 1
-        if not boundary.any():
+        if not any(boundary):
             result = Comparison.of(Ordering.IDENTICAL, self.k)
         else:
-            lane = int(np.argmax(boundary))  # unique by construction
+            lane = boundary.index(True)  # unique by construction
             position = lane + 1
             if a_def[lane] and b_def[lane]:
                 ordering = (
@@ -138,32 +136,33 @@ class VectorComparator:
         return ParallelResult(result, steps, self.k)
 
     # ------------------------------------------------------------------
-    def _load(self, vector: TimestampVector) -> tuple[np.ndarray, np.ndarray]:
-        values = np.zeros(self.k, dtype=np.int64)
-        defined = np.zeros(self.k, dtype=bool)
-        for index, element in enumerate(vector):
-            if element is not UNDEFINED:
-                values[index] = int(element)
-                defined[index] = True
+    def _load(self, vector: TimestampVector) -> tuple[list[int], list[bool]]:
+        defined = [element is not UNDEFINED for element in vector]
+        values = [
+            int(element) if present else 0
+            for element, present in zip(vector, defined)
+        ]
         return values, defined
 
     @staticmethod
-    def _prefix_or(c: np.ndarray) -> tuple[np.ndarray, int]:
+    def _prefix_or(c: list[int]) -> tuple[list[int], int]:
         """Kogge-Stone style prefix OR; returns (d, tree height in steps).
 
         Each doubling round is one parallel step: every processor combines
         with the lane ``2^r`` to its left (the Fig. 7 tree flattened into a
         standard prefix network of the same depth).
         """
-        d = c.copy()
+        d = list(c)
         steps = 0
         offset = 1
-        while offset < d.size:
-            shifted = np.concatenate((np.zeros(offset, dtype=np.int8), d[:-offset]))
-            d = d | shifted
+        while offset < len(d):
+            d = [
+                di | (d[i - offset] if i >= offset else 0)
+                for i, di in enumerate(d)
+            ]
             offset *= 2
             steps += 1
-        if d.size == 1:
+        if len(d) == 1:
             steps = 1  # a single lane still spends one OR step
         return d, steps
 

@@ -28,12 +28,15 @@ from .parallel import (
     ParallelExecutionError,
     ParallelShardSet,
     ShardEngine,
-    default_start_method,
-    plan_fanout,
 )
 from .recovery import DataNode, RecoverableShardSet
 from .report import ExecutionReport
-from .transport import LoopbackTransport, NodeFailure, TcpTransport
+from .transport import (
+    LoopbackTransport,
+    NodeFailure,
+    TcpTransport,
+    default_start_method,
+)
 from .router import ShardRouter, stable_hash
 from .service import PipelineExecutor
 from .sessions import Session, SessionError, TransactionService
@@ -59,7 +62,6 @@ __all__ = [
     "RecoverableShardSet",
     "TcpTransport",
     "PipelineExecutor",
-    "plan_fanout",
     "POLICIES",
     "RetryPolicy",
     "resolve_policy",

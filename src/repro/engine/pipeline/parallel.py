@@ -1,6 +1,6 @@
-"""Parallel shard execution plane: per-shard schedulers in workers.
+"""Windowed shard execution plane: per-shard scheduler replicas.
 
-The sharded pipeline (PR 4) simulates partitioned scheduling inside one
+The sharded pipeline simulates partitioned scheduling inside one
 process: a single :class:`~repro.core.distributed.DMTkScheduler` walks a
 logically shared timestamp table, paying simulated lock/fetch costs per
 cross-shard touch.  This module makes the partition *real*: every shard
@@ -9,9 +9,12 @@ same DMT(k) ingredients that keep the cross-shard order total
 (:class:`~repro.core.timestamp.SiteTaggedCounters` per shard, so k-th
 column elements are globally unique ``(counter, shard)`` pairs, and the
 distributed joining encoding that pulls a site's counter above/below
-whatever foreign element it must order against) — and shards run in
-persistent worker processes that communicate with the coordinator in
-*batched* messages, one per shard per admission window.
+whatever foreign element it must order against) — and the coordinator
+talks to the shards in *batched* messages, one per host per admission
+window.  :class:`ParallelShardSet` hosts every engine on one in-process
+:class:`_WorkerHost`; the crash-recoverable data plane
+(:mod:`.recovery`) ships the same messages to data nodes over 2PC,
+in-process (loopback) or over localhost TCP.
 
 Execution model (window-at-a-time; the service drives it):
 
@@ -27,9 +30,9 @@ Execution model (window-at-a-time; the service drives it):
    each claims row ``i``), which is what makes the merge deterministic
    and replica reconciliation trivial (the incoming snapshot always
    supersedes);
-2. each shard's batch ships over a pipe as one compact message of
-   tuples/ints (no per-op objects), together with the replica rows the
-   shard is missing; workers decide the whole batch locally and reply with
+2. each shard's batch ships as one compact message of tuples/ints (no
+   per-op objects), together with the replica rows the shard is
+   missing; the host decides the whole batch locally and replies with
    ``(seq, decision_code)`` pairs, dirty-row snapshots, and the
    conflict rows of every item the batch touched;
 3. the coordinator merges replies **in admission (seq) order**, applies
@@ -38,41 +41,35 @@ Execution model (window-at-a-time; the service drives it):
    broadcasts ``restart``/``drop``/``commit``/``reset`` commands so all
    replicas converge before the next window is planned.
 
-Message schema (all plain tuples, picklable, spawn-safe)::
+Message schema (all plain tuples; the 2PC wire codec ships them as
+JSON arrays)::
 
-    coordinator -> worker:
+    coordinator -> host:
       ("run", commands, shard_batches)
         commands      = (("restart", txn) | ("drop", txn)
                          | ("commit", txn) | ("reset",), ...)
         shard_batches = ((shard_id, rows, batch), ...)
         rows          = ((txn, snapshot), ...)      # replica refresh
         batch         = ((seq, txn, kind, item), ...)  # kind 0=R 1=W
-      ("stop",)
-    worker -> coordinator:
-      ("ok", ((shard_id, decisions, rows, index, stats), ...))
+    host -> coordinator:
+      ((shard_id, decisions, rows, index, stats), ...)
         decisions = ((seq, code), ...)   # 0 accept / 1 ignore
                                          # 2 reject / 3 skip
         rows      = ((txn, snapshot), ...)   # dirtied this message
         index     = ((item, *rows), ...)     # touched this message
         # rows: (rt, wt) under MT(k); under MVMT(k) every row the item's
         # chain references, T0 included while the chain retains it
-      ("err", worker_id, shard_ids, traceback_text)
 
-A worker applies one message in three strict passes — replica rows,
-then commands (so an undo triggered by a remote reject repoints against
-barrier-fresh rows), then batches — and both transports (the in-process
-reference and the multiprocessing one) drive the *same*
-:class:`_WorkerHost` code, so their decision streams are identical by
-construction; the conformance fuzzer's ``parallel-equivalence`` rule
-checks it anyway, on every case.
+A host applies one message in three strict passes — replica rows, then
+commands (so an undo triggered by a remote reject repoints against
+barrier-fresh rows), then batches.  The in-process plane and every data
+node drive the *same* :class:`_WorkerHost` code, so their decision
+streams are identical by construction; the conformance fuzzer's
+``recovery-equivalence`` rule checks it anyway, on every case.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-import traceback
 from typing import Any, Iterable, Mapping, Sequence
 
 from ...core.distributed import _JoiningEncoding
@@ -94,46 +91,22 @@ CODE_SKIP = 3
 
 _KINDS = (OpKind.READ, OpKind.WRITE)
 
-#: Default admission-window width for windowed execution.  IPC
-#: amortization wants hundreds of operations per message.
+#: Default admission-window width for windowed execution.  Message
+#: amortization wants hundreds of operations per window.
 DEFAULT_WINDOW = 256
-
-_POLL_INTERVAL = 0.25
-
-
-def default_start_method() -> str:
-    """``fork`` when the platform offers it (fast worker startup, the
-    engine config is tiny either way), else ``spawn``."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
-def plan_fanout(jobs: int, parallel: int | None, cpu: int | None = None) -> int:
-    """Clamp the bench process-pool width so pools never nest or
-    oversubscribe: at most ``os.cpu_count()`` total processes, and one
-    pool job when shard workers (``--parallel > 1``) are in play."""
-    if cpu is None:
-        cpu = os.cpu_count() or 1
-    jobs = max(1, min(int(jobs), cpu))
-    if parallel is not None and parallel > 1:
-        return 1
-    return jobs
 
 
 class ParallelExecutionError(RuntimeError):
-    """A shard worker crashed, timed out, or raised mid-batch."""
+    """The data plane failed a window: a data node crashed, timed out
+    or raised, or a window outlasted its retry budget."""
 
-    def __init__(
-        self, message: str, worker: int | None = None,
-        shards: Sequence[int] = (),
-    ) -> None:
+    def __init__(self, message: str, worker: int | None = None) -> None:
         super().__init__(message)
         self.worker = worker
-        self.shards = tuple(shards)
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# Host side
 # ----------------------------------------------------------------------
 class ShardEngine:
     """One shard's scheduler replica.
@@ -232,7 +205,7 @@ class ShardEngine:
             # so engine-local active sets alone would over-collect (and
             # surface as "snapshot too old" horizon aborts).  Riding the
             # broadcast command stream keeps collection bit-identical
-            # across worker counts.
+            # across node counts.
             if self.multiversion:
                 _kind, rows, active_ids, top = command
                 if rows:
@@ -390,11 +363,12 @@ class ShardEngine:
 
 
 class _WorkerHost:
-    """Hosts the shard engines assigned to one worker.
+    """Hosts a set of shard engines: all of them in-process, or one
+    data node's share.
 
-    Both transports drive this exact class — the in-process reference
-    and the multiprocessing workers execute the same code on the same
-    message stream, which is what makes them bit-identical."""
+    The in-process plane and every data node drive this exact class —
+    the same code on the same message stream, which is what makes them
+    bit-identical."""
 
     def __init__(
         self, shard_ids: Sequence[int], config: tuple
@@ -432,44 +406,13 @@ class _WorkerHost:
         return tuple(replies)
 
 
-def _worker_main(
-    conn: Any, worker_id: int, shard_ids: tuple[int, ...], config: tuple
-) -> None:  # pragma: no cover - runs in the subprocess
-    """Worker process entry point (top-level, so spawn can pickle it)."""
-    try:
-        host = _WorkerHost(shard_ids, config)
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            if message[0] == "stop":
-                break
-            try:
-                reply = host.handle(message)
-            except Exception:
-                conn.send(
-                    ("err", worker_id, shard_ids, traceback.format_exc())
-                )
-                break
-            conn.send(("ok", reply))
-    except KeyboardInterrupt:
-        pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
 # ----------------------------------------------------------------------
 # Transports
 # ----------------------------------------------------------------------
 class _InlineTransport:
-    """``workers=0``: host every engine in-process.
-
-    This is the reference execution the ``parallel-equivalence`` fuzzer
-    rule compares worker runs against — same host code, no pipes."""
+    """Every engine in-process, behind direct calls: the reference
+    execution the ``recovery-equivalence`` fuzzer rule compares the 2PC
+    data plane against."""
 
     def __init__(
         self, assignments: Mapping[int, tuple[int, ...]], config: tuple
@@ -492,142 +435,31 @@ class _InlineTransport:
         self._replies.clear()
 
 
-class _ProcessTransport:
-    """Persistent worker processes over ``multiprocessing.Pipe``."""
-
-    def __init__(
-        self,
-        assignments: Mapping[int, tuple[int, ...]],
-        config: tuple,
-        start_method: str | None = None,
-        timeout: float = 120.0,
-    ) -> None:
-        method = start_method or default_start_method()
-        context = multiprocessing.get_context(method)
-        self.start_method = method
-        self.timeout = timeout
-        self._workers: dict[int, tuple[Any, Any, tuple[int, ...]]] = {}
-        for worker_id, shard_ids in assignments.items():
-            if not shard_ids:
-                continue
-            parent, child = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(child, worker_id, tuple(shard_ids), config),
-                daemon=True,
-                name=f"repro-shard-worker-{worker_id}",
-            )
-            process.start()
-            child.close()
-            self._workers[worker_id] = (process, parent, tuple(shard_ids))
-
-    # ------------------------------------------------------------------
-    def _crashed(self, worker_id: int, why: str) -> ParallelExecutionError:
-        _process, _conn, shard_ids = self._workers[worker_id]
-        return ParallelExecutionError(
-            f"shard worker {worker_id} serving shards"
-            f" {list(shard_ids)} {why}",
-            worker=worker_id,
-            shards=shard_ids,
-        )
-
-    def request(self, worker_id: int, message: tuple) -> None:
-        _process, conn, _shard_ids = self._workers[worker_id]
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise self._crashed(
-                worker_id, f"closed its pipe while receiving: {exc}"
-            ) from None
-
-    def collect(self, worker_id: int) -> tuple:
-        process, conn, shard_ids = self._workers[worker_id]
-        deadline = time.monotonic() + self.timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise self._crashed(
-                    worker_id, f"sent no reply within {self.timeout:.0f}s"
-                )
-            try:
-                if conn.poll(min(_POLL_INTERVAL, remaining)):
-                    reply = conn.recv()
-                    break
-            except (EOFError, OSError):
-                raise self._crashed(
-                    worker_id, "closed its pipe mid-reply"
-                ) from None
-            if not process.is_alive():
-                # Drain anything that made it into the pipe pre-crash.
-                try:
-                    if conn.poll(0):
-                        reply = conn.recv()
-                        break
-                except (EOFError, OSError):
-                    pass
-                raise self._crashed(
-                    worker_id, f"died (exitcode {process.exitcode})"
-                )
-        if reply[0] == "err":
-            _tag, _worker, _shards, detail = reply
-            raise ParallelExecutionError(
-                f"shard worker {worker_id} (shards {list(shard_ids)})"
-                f" raised:\n{detail}",
-                worker=worker_id,
-                shards=shard_ids,
-            )
-        return reply[1]
-
-    def close(self) -> None:
-        for _worker_id, (_process, conn, _sids) in self._workers.items():
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for _worker_id, (process, conn, _sids) in self._workers.items():
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=5.0)
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._workers.clear()
-
-
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
 class ParallelShardSet:
     """The coordinator: shard engines behind a windowed batch protocol.
 
-    ``workers=0`` hosts every engine in-process (the reference mode,
-    also what the fuzzer and the worker-count-invariance tests compare
-    against); ``workers>=1`` runs persistent worker processes, shard
-    ``s`` hosted by worker ``s % workers``.  Decision streams are
-    identical for every worker count because engines are independent
-    and both transports run the same host code.
+    Every engine lives on one in-process host (host ``0``); the
+    recovery plane spreads them over data nodes, shard ``s`` on node
+    ``s % nodes``.  Decision streams are identical for every node count
+    because engines are independent and every host runs the same code.
 
     The coordinator keeps three pieces of state between windows: a
     **row store** (the latest exported snapshot of every row, versioned
     so each shard only receives rows it lacks), per-shard **watermarks**
     of what was already shipped, and the **item index** — the
-    authoritative ``item -> conflict rows`` map rebuilt from worker
+    authoritative ``item -> conflict rows`` map rebuilt from host
     replies, which window planning claims and ships.
     """
 
     def __init__(
         self,
         spec: ShardSpec,
-        workers: int = 0,
         window: int = DEFAULT_WINDOW,
         router: ShardRouter | None = None,
-        start_method: str | None = None,
-        timeout: float = 120.0,
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0 (0 = in-process)")
         if window < 1:
             raise ValueError("window must be positive")
         if spec.retain_locks or spec.sync_interval is not None:
@@ -636,7 +468,6 @@ class ParallelShardSet:
                 "options; the parallel plane does not model them"
             )
         self.spec = spec
-        self.workers = int(workers)
         self.window = int(window)
         self.router = router or ShardRouter(spec.n_shards)
         if self.router.n_shards != spec.n_shards:
@@ -645,19 +476,7 @@ class ParallelShardSet:
         self._config = (
             spec.k, spec.read_rule, spec.anti_starvation, spec.protocol,
         )
-        self._start_method = start_method
-        self._timeout = timeout
-        hosts = max(1, self.workers)
-        self._assignments = {
-            worker_id: tuple(
-                shard for shard in range(spec.n_shards)
-                if shard % hosts == worker_id
-            )
-            for worker_id in range(hosts)
-        }
-        self._worker_of = {
-            shard: shard % hosts for shard in range(spec.n_shards)
-        }
+        self._assign(1)
         self._transport: Any | None = None
         self._closed = False
         self._pending_reset = False
@@ -673,6 +492,14 @@ class ParallelShardSet:
         # consumed (third decision column); refreshed per reply merge.
         self.window_sources: dict[int, int] = {}
         self.ipc = self._fresh_ipc()
+
+    def _assign(self, hosts: int) -> None:
+        """Place shard ``s`` on host ``s % hosts``."""
+        n_shards = self.spec.n_shards
+        self._assignments = {
+            host: tuple(range(host, n_shards, hosts)) for host in range(hosts)
+        }
+        self._worker_of = {shard: shard % hosts for shard in range(n_shards)}
 
     @staticmethod
     def _fresh_ipc() -> dict[str, int]:
@@ -708,14 +535,7 @@ class ParallelShardSet:
 
     def _build_transport(self) -> Any:
         """Transport factory; the recovery plane overrides this."""
-        if self.workers == 0:
-            return _InlineTransport(self._assignments, self._config)
-        return _ProcessTransport(
-            self._assignments,
-            self._config,
-            start_method=self._start_method,
-            timeout=self._timeout,
-        )
+        return _InlineTransport(self._assignments, self._config)
 
     def close(self) -> None:
         transport = self._transport
@@ -834,20 +654,13 @@ class ParallelShardSet:
         )
         self._apply_shipments(updates)
         transport = self._transport
-        try:
-            for worker_id in sorted(per_worker):
-                transport.request(
-                    worker_id,
-                    ("run", commands, tuple(per_worker[worker_id])),
-                )
-            replies: dict[int, tuple] = {}
-            for worker_id in sorted(per_worker):
-                replies[worker_id] = transport.collect(worker_id)
-        except ParallelExecutionError:
-            # The transport is in an unknown state; tear it down so the
-            # failure is clean (no dangling processes, no hung pipes).
-            self.close()
-            raise
+        for worker_id in sorted(per_worker):
+            transport.request(
+                worker_id, ("run", commands, tuple(per_worker[worker_id]))
+            )
+        replies: dict[int, tuple] = {}
+        for worker_id in sorted(per_worker):
+            replies[worker_id] = transport.collect(worker_id)
         decisions = self._merge_replies(replies)
         self._account_ipc(entries, rows, len(per_worker))
         return decisions
@@ -908,7 +721,7 @@ class ParallelShardSet:
             self._have[shard_id].update(shard_updates)
 
     def _merge_replies(self, replies: Mapping[int, tuple]) -> dict[int, int]:
-        """Merge per-worker replies into the coordinator state (row
+        """Merge per-host replies into the coordinator state (row
         store, item index, engine stats) in deterministic order."""
         decisions: dict[int, int] = {}
         store = self._store
@@ -993,7 +806,7 @@ class ParallelShardSet:
         self.shards[self.router.shard_of_txn(txn_id)].commits_homed += 1
 
     # ------------------------------------------------------------------
-    # Introspection (bench v2 stages block)
+    # Introspection (the service's stage snapshot)
     # ------------------------------------------------------------------
     @property
     def n_shards(self) -> int:
@@ -1004,17 +817,6 @@ class ParallelShardSet:
         if total == 0:
             return [0.0] * len(self.shards)
         return [shard.ops / total for shard in self.shards]
-
-    def worker_occupancy(self) -> list[float]:
-        """Each worker host's share of the scheduled operations."""
-        hosts = max(1, self.workers)
-        counts = [0] * hosts
-        for shard in self.shards:
-            counts[self._worker_of[shard.shard_id]] += shard.ops
-        total = sum(counts)
-        if total == 0:
-            return [0.0] * hosts
-        return [count / total for count in counts]
 
     @property
     def element_visits(self) -> int:
@@ -1043,24 +845,15 @@ class ParallelShardSet:
 
     def stage_snapshot(self) -> dict[str, Any]:
         snapshot = {
-            "workers": self.workers,
             "window": self.window,
-            "start_method": (
-                getattr(self._transport, "start_method", None)
-                if self.workers
-                else "inline"
-            ),
-            # str keys: the snapshot lands in JSON bench payloads, and a
-            # round-trip must be identity (json stringifies int keys).
+            # str keys: the snapshot is JSON-dumped, and a round-trip
+            # must be identity (json stringifies int keys).
             "assignments": {
                 str(worker_id): list(shards)
                 for worker_id, shards in self._assignments.items()
                 if shards
             },
             "ipc": dict(self.ipc),
-            "worker_occupancy": [
-                round(share, 4) for share in self.worker_occupancy()
-            ],
             "element_visits": self.element_visits,
         }
         mvcc = self.mvcc_stats()
@@ -1071,5 +864,5 @@ class ParallelShardSet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ParallelShardSet n={self.spec.n_shards} "
-            f"workers={self.workers} window={self.window}>"
+            f"window={self.window}>"
         )

@@ -1,6 +1,6 @@
 """Crash-recoverable data plane: 2PC windows over durable data nodes.
 
-This promotes the PR 6 windowed protocol into a fault-tolerant one.
+This promotes the windowed protocol into a fault-tolerant one.
 The execution model is unchanged — the coordinator plans admission
 windows with the row-conflict cut and ships one batched message per
 node per window — but every window is now a **distributed transaction**
@@ -11,7 +11,7 @@ killed and restarted mid-run:
 1. ``PREPARE``: the coordinator ships the window payload; each node
    force-logs the payload (redo record), applies it tentatively, and
    replies with its **vote** — which *is* the decision/row/index reply
-   of the PR 6 protocol, so voting costs no extra round trip.
+   of the windowed protocol, so voting costs no extra round trip.
 2. Decision: if every involved node voted, the coordinator force-logs
    ``commit`` in its own WAL (the commit point) and broadcasts
    ``COMMIT``; any missing/late vote means **presumed abort** — no
@@ -36,8 +36,8 @@ and bit-identity trivially implies prefix consistency of the committed
 projection.
 
 Fault injection (:mod:`.faults`) is threaded through both transports
-(:mod:`.transport`); with no faults and the loopback transport the
-plane is bit-identical to ``workers=0`` PR 6 runs.
+(:mod:`.transport`); with no faults the plane is bit-identical to the
+in-process windowed plane, over either transport.
 """
 
 from __future__ import annotations
@@ -207,10 +207,11 @@ class RecoverableShardSet(ParallelShardSet):
     """A :class:`ParallelShardSet` whose windows commit via 2PC over
     crash-recoverable data nodes.
 
-    ``transport`` selects the wire: ``"loopback"`` (in-process nodes,
-    the reference and fuzzer mode — bit-identical to ``workers=0`` when
-    no faults are injected) or ``"tcp"`` (one process + localhost
-    socket per node; ``workers`` counts nodes, ``0`` meaning one).
+    ``workers`` counts data nodes (``0`` meaning one); ``transport``
+    selects the wire: ``"loopback"`` (in-process nodes, the reference
+    and fuzzer mode) or ``"tcp"`` (one process + localhost socket per
+    node).  With no faults injected either is bit-identical to the
+    in-process plane.
     ``fault_plan`` scripts deterministic crashes and message faults;
     ``state_dir`` hosts the coordinator WAL and per-node logs (a
     private temp dir is created — and removed on close — when None).
@@ -240,7 +241,11 @@ class RecoverableShardSet(ParallelShardSet):
             raise ValueError("restart_order must be 'sorted' or 'reverse'")
         if max_window_attempts < 1:
             raise ValueError("max_window_attempts must be >= 1")
-        super().__init__(spec, workers=workers, window=window, **kwargs)
+        if workers < 0:
+            raise ValueError("workers (data nodes) must be >= 0")
+        super().__init__(spec, window=window, **kwargs)
+        self.workers = int(workers)
+        self._assign(max(1, self.workers))
         self.transport_kind = transport
         self.fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan()
@@ -287,12 +292,7 @@ class RecoverableShardSet(ParallelShardSet):
                 self._assignments, self._config, state_dir, self.fault_plan
             )
         return TcpTransport(
-            self._assignments,
-            self._config,
-            state_dir,
-            self.fault_plan,
-            start_method=self._start_method,
-            timeout=self._timeout,
+            self._assignments, self._config, state_dir, self.fault_plan
         )
 
     def begin_run(self) -> None:
@@ -483,9 +483,6 @@ class RecoverableShardSet(ParallelShardSet):
     def stage_snapshot(self) -> dict[str, Any]:
         snapshot = super().stage_snapshot()
         snapshot["transport"] = self.transport_kind
-        snapshot["start_method"] = getattr(
-            self._transport, "start_method", self.transport_kind
-        )
         return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

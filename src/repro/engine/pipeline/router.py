@@ -7,21 +7,17 @@ answers for DMT(k) sites.
 
 Hashing is **process-stable** by construction: Python's builtin
 ``hash(str)`` is salted per interpreter (``PYTHONHASHSEED``), so a
-router built on it would route items differently in every bench worker
-process and break the ``--jobs 1`` ≡ ``--jobs 4`` determinism
-guarantee.  We use ``zlib.crc32`` instead, which is a pure function of
-the item name.
+router built on it would route items differently in every process and
+a seed would no longer determine the report.  Items are placed by the
+crc32 :func:`~repro.core.distributed.stable_hash` that DMT(k) sites
+use, a pure function of the item name.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Callable
 
-
-def stable_hash(item: str) -> int:
-    """Deterministic, process-independent hash of an item name."""
-    return zlib.crc32(item.encode("utf-8"))
+from ...core.distributed import stable_hash
 
 
 class ShardRouter:

@@ -33,7 +33,8 @@ Three lanes drive the same stage methods (``_handle_abort``,
   pulled through ``AdmissionQueue.pop()``, which meters batches, applies
   backpressure and matures delayed retries in simulated time;
 * the **windowed lane** — the parallel plane: windows of operations are
-  decided by remote shard engines and merged here in admission order.
+  decided by per-shard engines (in-process, or on 2PC data nodes) and
+  merged here in admission order.
 
 The lanes differ in *where the scheduler lives*, and that is the only
 seam: in-process (``_LocalScheduler``), or behind commands that ride the
@@ -206,7 +207,7 @@ class PipelineExecutor(Instrumented):
         shards: ShardSet | None = None,
         parallel: int | ParallelShardSet | None = None,
         window: int | None = None,
-        transport: str = "pipe",
+        transport: str = "inline",
         fault_plan: Any | None = None,
         state_dir: str | None = None,
         op_service_time: float = 0.0,
@@ -217,16 +218,23 @@ class PipelineExecutor(Instrumented):
             raise ValueError("rollback must be 'full' or 'partial'")
         if shards is not None and shards.scheduler is not scheduler:
             raise ValueError("shards.scheduler must be the pipeline scheduler")
-        if transport not in ("pipe", "loopback", "tcp"):
+        if transport not in ("inline", "loopback", "tcp"):
             raise ValueError(
-                "transport must be 'pipe', 'loopback' or 'tcp'"
+                "transport must be 'inline', 'loopback' or 'tcp'"
             )
-        if transport != "pipe" and parallel is None:
+        if transport == "inline":
+            if isinstance(parallel, int) and parallel != 0:
+                raise ValueError(
+                    "the inline plane hosts every shard in-process: "
+                    "parallel must be 0; data nodes need transport="
+                    "'loopback' or 'tcp'"
+                )
+        elif parallel is None:
             raise ValueError(
                 "transport selection requires parallel execution "
-                "(pass parallel=<workers>)"
+                "(pass parallel=<data nodes>)"
             )
-        if fault_plan is not None and transport == "pipe":
+        if fault_plan is not None and transport == "inline":
             raise ValueError(
                 "fault injection requires the recoverable transports "
                 "('loopback' or 'tcp')"
@@ -278,10 +286,9 @@ class PipelineExecutor(Instrumented):
                     raise ValueError(
                         "parallel plane and shard set disagree on shard count"
                     )
-            elif transport == "pipe":
+            elif transport == "inline":
                 plane = ParallelShardSet(
                     shards.spec,
-                    workers=int(parallel),
                     window=window if window is not None else DEFAULT_WINDOW,
                     router=shards.router,
                 )
@@ -397,12 +404,13 @@ class PipelineExecutor(Instrumented):
                 try:
                     self._run_windowed(admission, states, undo, report)
                 except BaseException:
-                    # Close-on-error: the plane's transport (and any
-                    # worker processes) is in an unknown state after a
-                    # mid-window failure — run_window tears itself down
-                    # on ParallelExecutionError, but coordinator-side
-                    # failures (merge bugs, KeyboardInterrupt) would
-                    # otherwise leak live children.
+                    # Close-on-error: the plane's transport (and any TCP
+                    # node processes) is in an unknown state after a
+                    # mid-window failure — the recovery plane tears
+                    # itself down on ParallelExecutionError, but
+                    # coordinator-side failures (merge bugs,
+                    # KeyboardInterrupt) would otherwise leak live
+                    # children.
                     self.parallel_plane.close()
                     raise
             elif admission.is_plain:
@@ -1012,8 +1020,8 @@ class PipelineExecutor(Instrumented):
         return snapshot
 
     def close(self) -> None:
-        """Release the parallel plane's worker processes (owned planes
-        only; a plane passed in by the caller stays the caller's)."""
+        """Release the parallel plane's data nodes (owned planes only; a
+        plane passed in by the caller stays the caller's)."""
         plane = self.parallel_plane
         if plane is not None and self._parallel_owned:
             plane.close()

@@ -140,7 +140,7 @@ class TransactionService:
         anti_starvation: bool = False,
         parallel: int | Any | None = None,
         window: int | None = None,
-        transport: str = "pipe",
+        transport: str = "inline",
         fault_plan: Any | None = None,
         state_dir: str | None = None,
     ) -> None:
@@ -243,7 +243,7 @@ class TransactionService:
         return report
 
     def close(self) -> None:
-        """Release executor resources (parallel worker processes)."""
+        """Release executor resources (the parallel plane's data nodes)."""
         self.executor.close()
 
     def __enter__(self) -> "TransactionService":

@@ -1,7 +1,7 @@
 """Pluggable transports for the crash-recoverable data plane.
 
 Two transports drive the same :class:`~.recovery.DataNode` protocol
-code (the same discipline PR 6 used for ``_WorkerHost``):
+code (the same discipline the in-process plane uses for ``_WorkerHost``):
 
 :class:`LoopbackTransport`
     in-process nodes, synchronous dispatch — the reference execution
@@ -17,8 +17,8 @@ code (the same discipline PR 6 used for ``_WorkerHost``):
 Wire format: a frame is a 4-byte big-endian length followed by that
 many bytes of UTF-8 JSON.  Messages are plain tuples (lists on the
 wire) of ints, strings, ``null`` (undefined timestamp elements) and
-``(counter, site)`` pairs — the same spawn-safe vocabulary as the PR 6
-pipe schema, now actually language-neutral.
+``(counter, site)`` pairs — the message schema of :mod:`.parallel`,
+language-neutral.
 
 The codec is built once per process: :func:`encode_payload` is
 ``json.dumps(message, separators=(",", ":"))`` byte for byte through
@@ -44,11 +44,20 @@ import socket
 from typing import Any, Mapping
 
 from .faults import FaultPlan, NodeCrash
-from .parallel import ParallelExecutionError, default_start_method
+from .parallel import ParallelExecutionError
 
 #: Frame header width: payload length as a big-endian unsigned int.
 FRAME_HEADER = 4
 MAX_FRAME = 1 << 28  # 256 MiB sanity bound
+#: Seconds a TCP node may take to report its port or answer one frame.
+NODE_TIMEOUT = 120.0
+
+
+def default_start_method() -> str:
+    """``fork`` when the platform offers it (fast node startup, the
+    engine config is tiny either way), else ``spawn``."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
 
 
 class NodeFailure(ParallelExecutionError):
@@ -192,8 +201,6 @@ class LoopbackTransport(_FaultingEndpoint):
     Crashes are simulated by discarding the node object (its durable
     log survives on disk, everything else is gone — the same contract
     ``os._exit`` gives the TCP nodes)."""
-
-    start_method = "loopback"
 
     def __init__(
         self,
@@ -342,14 +349,10 @@ class TcpTransport(_FaultingEndpoint):
         config: tuple,
         state_dir: str,
         fault_plan: FaultPlan,
-        start_method: str | None = None,
-        timeout: float = 60.0,
     ) -> None:
         super().__init__()
         self.fault_plan = fault_plan
-        self.start_method = start_method or default_start_method()
-        self.timeout = timeout
-        self._context = multiprocessing.get_context(self.start_method)
+        self._context = multiprocessing.get_context(default_start_method())
         self._meta: dict[int, tuple[tuple[int, ...], tuple, str]] = {}
         self._nodes: dict[int, tuple[Any, socket.socket]] = {}
         self._expect: dict[int, int] = {}
@@ -371,15 +374,15 @@ class TcpTransport(_FaultingEndpoint):
         )
         process.start()
         child.close()
-        if not parent.poll(self.timeout):
+        if not parent.poll(NODE_TIMEOUT):
             process.terminate()
             raise NodeFailure(node_id, "never reported its port")
         port = parent.recv()
         parent.close()
         sock = socket.create_connection(
-            ("127.0.0.1", port), timeout=self.timeout
+            ("127.0.0.1", port), timeout=NODE_TIMEOUT
         )
-        sock.settimeout(self.timeout)
+        sock.settimeout(NODE_TIMEOUT)
         self._nodes[node_id] = (process, sock)
 
     def nodes(self) -> list[int]:
@@ -412,7 +415,7 @@ class TcpTransport(_FaultingEndpoint):
                 reply = frame
         except socket.timeout:
             raise NodeFailure(
-                node_id, f"sent no reply within {self.timeout:.0f}s"
+                node_id, f"sent no reply within {NODE_TIMEOUT:.0f}s"
             ) from None
         except (OSError, ValueError):
             reply = None
@@ -434,7 +437,7 @@ class TcpTransport(_FaultingEndpoint):
             sock.close()
         except OSError:
             pass
-        process.join(timeout=self.timeout)
+        process.join(timeout=NODE_TIMEOUT)
         if process.is_alive():  # pragma: no cover - stuck node
             process.terminate()
             process.join(timeout=5.0)

@@ -1,16 +1,16 @@
-"""Observability: metrics registry, event tracing, and the bench runner.
+"""Observability: metrics registry and event tracing.
 
 This package is the machine-readable side of the reproduction.  Every
 scheduler and the transaction executor report into a
 :class:`~repro.obs.metrics.MetricsRegistry` through the shared
-:class:`~repro.obs.instrument.Instrumented` mixin, emit structured
-:class:`~repro.obs.trace.TraceEvent` records into a ring buffer, and the
-:mod:`repro.obs.bench` runner turns seeded workload scenarios into a
-consolidated ``BENCH_repro.json`` regression baseline.
+:class:`~repro.obs.instrument.Instrumented` mixin and emit structured
+:class:`~repro.obs.trace.TraceEvent` records into a ring buffer.  The
+repository's benchmark (``benchmarks/perf/run.py``) reads these
+counters after each pass.
 
-The package deliberately imports nothing from :mod:`repro.core` or
-:mod:`repro.engine` at module level (only :mod:`repro.obs.bench` does,
-lazily) so the core protocol layer can depend on it without cycles.
+The package imports nothing from :mod:`repro.core` or
+:mod:`repro.engine`, so the core protocol layer can depend on it
+without cycles.
 """
 
 from .instrument import Instrumented

@@ -149,6 +149,8 @@ class TestCacheEquivalenceRule:
 
 
 class TestParallelEquivalenceRule:
+    """``--check-parallel``: the windowed plane's ``parallel-dsr`` rule."""
+
     def test_rule_passes_on_conflict_heavy_log(self):
         violations = parallel_violations(
             Log.parse("W1[x] W2[x] R3[x] W3[y] R1[y] W4[x] R2[y] W5[y]")

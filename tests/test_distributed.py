@@ -205,3 +205,42 @@ class TestClockDrivenCounters:
 
         with pytest.raises(ValueError):
             DMTkScheduler(2, num_sites=3, clock_driven=True, clock_skews=[1])
+
+
+class TestDefaultPlacement:
+    def test_message_counts_survive_hash_randomization(self):
+        """Default item placement is crc32, not the salted builtin
+        ``hash(str)``: two interpreters with different PYTHONHASHSEED
+        values send the same number of messages over the same logs."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "from repro.core.distributed import DMTkScheduler\n"
+            "from repro.model.generator import WorkloadSpec, random_logs\n"
+            "spec = WorkloadSpec(num_txns=6, ops_per_txn=3, num_items=8)\n"
+            "messages = accepted = 0\n"
+            "for log in random_logs(spec, 40, seed=5):\n"
+            "    scheduler = DMTkScheduler(3)\n"
+            "    accepted += scheduler.accepts(log)\n"
+            "    messages += scheduler.network.messages_sent\n"
+            "print(messages, accepted)\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for hashseed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
+        assert int(outputs.pop().split()[0]) > 0

@@ -1,5 +1,5 @@
-"""Hot-path engine tests: interning, slab table, frozen decision traces,
-zero-cost tracing, and the parallel bench fan-out.
+"""Hot-path engine tests: interning, slab table, frozen decision traces
+and zero-cost tracing.
 
 The load-bearing property throughout: every optimization is *decision
 invariant* — the slab, the interning, and the disabled tracing may change
@@ -26,13 +26,6 @@ from repro.core.timestamp import (
 )
 from repro.engine.executor import TransactionExecutor
 from repro.model.generator import WorkloadSpec, generate_transactions
-from repro.obs.bench import (
-    PROFILE_TOP,
-    SCHEMA,
-    compare_payloads,
-    run_bench,
-    validate_payload,
-)
 
 
 class TestComparisonInterning:
@@ -377,86 +370,3 @@ class TestZeroCostTracing:
         executor = TransactionExecutor(scheduler)
         executor.execute(transactions, seed=1)
         assert scheduler.events.emitted > 0
-
-
-class TestParallelBench:
-    #: Small scenario subset: enough to cover MT(k) and a baseline without
-    #: making the test suite pay for the full family.
-    SUBSET = ["mt1_uniform", "mt3_hotspot", "to_uniform"]
-
-    @staticmethod
-    def _strip_wall(payload):
-        stripped = {}
-        for name, result in payload["scenarios"].items():
-            stripped[name] = {
-                key: value
-                for key, value in result.items()
-                if key not in ("throughput", "ops_rate", "wall_ms")
-            }
-        return stripped
-
-    def test_jobs_4_matches_jobs_1_modulo_wall_clock(self, monkeypatch):
-        # plan_fanout clamps the pool to the machine's core count; pin
-        # it so the process-pool path runs even on a 1-core box.
-        monkeypatch.setattr(
-            "repro.engine.pipeline.parallel.os.cpu_count", lambda: 4
-        )
-        serial = run_bench(quick=True, only=self.SUBSET, out=None, jobs=1)
-        parallel = run_bench(quick=True, only=self.SUBSET, out=None, jobs=4)
-        assert serial["jobs"] == 1 and parallel["jobs"] == 4
-        assert self._strip_wall(serial) == self._strip_wall(parallel)
-
-    def test_jobs_clamped_to_core_count(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.engine.pipeline.parallel.os.cpu_count", lambda: 2
-        )
-        payload = run_bench(quick=True, only=["mt1_uniform"], out=None, jobs=8)
-        assert payload["jobs"] == 2
-
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_bench(quick=True, only=self.SUBSET, out=None, jobs=0)
-
-    def test_profile_payload_shape(self, tmp_path):
-        out = tmp_path / "bench.json"
-        payload = run_bench(
-            quick=True, only=["mt3_hotspot"], out=out, profile=True
-        )
-        assert validate_payload(payload) == []
-        rows = payload["scenarios"]["mt3_hotspot"]["profile"]
-        assert 0 < len(rows) <= PROFILE_TOP
-        for row in rows:
-            assert set(row) == {"function", "calls", "tottime_ms", "cumtime_ms"}
-            assert row["calls"] > 0 and row["tottime_ms"] >= 0
-        # hottest-first ordering and JSON round-trip
-        tottimes = [row["tottime_ms"] for row in rows]
-        assert tottimes == sorted(tottimes, reverse=True)
-        assert json.loads(out.read_text()) == payload
-
-
-class TestComparePayloads:
-    @staticmethod
-    def _payload(**throughputs):
-        return {
-            "schema": SCHEMA,
-            "scenarios": {
-                name: {"throughput": value}
-                for name, value in throughputs.items()
-            },
-        }
-
-    def test_flags_only_scenarios_below_floor(self):
-        baseline = self._payload(a=1000.0, b=1000.0)
-        current = self._payload(a=900.0, b=400.0)
-        problems = compare_payloads(current, baseline, floor=0.5)
-        assert len(problems) == 1 and "b:" in problems[0]
-
-    def test_scenarios_missing_from_either_side_are_skipped(self):
-        baseline = self._payload(a=1000.0)
-        current = self._payload(b=1.0)
-        assert compare_payloads(current, baseline) == []
-
-    def test_all_good_is_empty(self):
-        baseline = self._payload(a=100.0)
-        current = self._payload(a=100.0)
-        assert compare_payloads(current, baseline) == []

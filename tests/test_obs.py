@@ -2,7 +2,7 @@
 
 Covers the metrics registry, the event trace, the ``Instrumented``
 wiring into schedulers and the executor, the conservation properties the
-registry is supposed to make checkable, and the JSON bench runner schema.
+registry is supposed to make checkable.
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.model.generator import (
 )
 from repro.model.log import Log
 from repro.obs import EventTrace, MetricsRegistry
-from repro.obs.bench import SCHEMA, run_bench, validate_payload
 from repro.obs.instrument import DECISION_COUNTERS
 
 
@@ -216,27 +215,3 @@ class TestConservationProperties:
             assert executor.stats["commits"] == len(report.committed)
             assert executor.stats["failures"] == len(report.failed)
             assert executor.metrics.histogram("wall_ms.execute").count == 1
-
-
-class TestBenchRunner:
-    def test_quick_bench_payload_schema(self, tmp_path):
-        out = tmp_path / "BENCH_repro.json"
-        payload = run_bench(quick=True, out=out)
-        assert validate_payload(payload) == []
-        assert len(payload["scenarios"]) >= 5
-        on_disk = json.loads(out.read_text())
-        assert on_disk == payload
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(KeyError):
-            run_bench(quick=True, only=["nope"], out=None)
-
-    def test_validate_flags_broken_payloads(self):
-        assert validate_payload({}) != []
-        broken = {
-            "schema": SCHEMA,
-            "scenarios": {"s": {"throughput": -1}},
-        }
-        problems = validate_payload(broken)
-        assert any("not a non-negative" in p for p in problems)
-        assert any("missing" in p for p in problems)

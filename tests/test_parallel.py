@@ -1,10 +1,11 @@
-"""Tests for the parallel shard execution plane.
+"""Tests for the windowed shard execution plane.
 
 The load-bearing claim is *transport invariance*: the windowed lane's
-report is a pure function of (workload, schedule, spec, window) — the
-worker count, the transport (in-process vs pipes), and the start method
-must all be invisible bit for bit.  Everything else here guards the
-operational edges: crash surfacing, fan-out clamping, knob plumbing.
+report is a pure function of (workload, schedule, spec, window) — where
+the shard engines are hosted (in-process, or on data nodes behind the
+loopback or TCP 2PC transport) and how many hosts there are must be
+invisible bit for bit.  Everything else here guards the one in-process
+plane's shape and its knob plumbing.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.check.oracle import SerializabilityOracle
 from repro.engine.pipeline import TransactionService
-from repro.engine.pipeline.parallel import (
-    DEFAULT_WINDOW,
-    ParallelExecutionError,
-    ParallelShardSet,
-    plan_fanout,
-)
+from repro.engine.pipeline.parallel import DEFAULT_WINDOW, ParallelShardSet
+from repro.engine.pipeline.recovery import RecoverableShardSet
 from repro.engine.pipeline.shard import ShardSpec
 from repro.model.generator import WorkloadSpec, generate_transactions, interleave
 
@@ -67,17 +64,24 @@ def run_windowed(txns, log, *, parallel, n_shards=2, window=4, **kwargs):
     return report, snapshot
 
 
+#: Two data nodes, each a real process behind a localhost socket.
+TCP_NODES = dict(parallel=2, transport="tcp")
+#: Two in-process data nodes behind the 2PC wire codec.
+LOOPBACK_NODES = dict(parallel=2, transport="loopback")
+
+
 class TestTransportEquivalence:
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_seed_sweep_bit_identical(self, n_shards):
-        """Inline and 2-process runs agree over a seed sweep; services
-        are reused across seeds, so the cross-run reset path (engines
-        reset by command, coordinator store cleared) is exercised too."""
+        """Inline and 2-process (TCP node) runs agree over a seed sweep;
+        services are reused across seeds, so the cross-run reset path
+        (engines reset by command, coordinator store cleared) is
+        exercised too."""
         inline = TransactionService(
             k=2, n_shards=n_shards, parallel=0, window=4
         )
         procs = TransactionService(
-            k=2, n_shards=n_shards, parallel=2, window=4
+            k=2, n_shards=n_shards, window=4, **TCP_NODES
         )
         try:
             for seed in range(8):
@@ -101,7 +105,7 @@ class TestTransportEquivalence:
                 txns, log, parallel=0, retry_policy=retry_policy
             )
             got, _ = run_windowed(
-                txns, log, parallel=2, retry_policy=retry_policy
+                txns, log, retry_policy=retry_policy, **LOOPBACK_NODES
             )
             assert report_tuple(got) == report_tuple(base)
 
@@ -116,15 +120,17 @@ class TestTransportEquivalence:
         if not txns:
             return
         base, _ = run_windowed(txns, log, parallel=0)
-        got, _ = run_windowed(txns, log, parallel=2)
+        got, _ = run_windowed(txns, log, **TCP_NODES)
         assert report_tuple(got) == report_tuple(base)
 
     def test_worker_count_exceeding_shards_is_invisible(self):
         txns, log = make_workload(5)
         base, _ = run_windowed(txns, log, parallel=0, n_shards=2)
-        got, snap = run_windowed(txns, log, parallel=4, n_shards=2)
+        got, snap = run_windowed(
+            txns, log, parallel=4, n_shards=2, transport="loopback"
+        )
         assert report_tuple(got) == report_tuple(base)
-        # Only 2 of the 4 workers host shards.
+        # Only 2 of the 4 data nodes host shards.
         hosting = [s for s in snap["parallel"]["assignments"].values() if s]
         assert len(hosting) == 2
 
@@ -132,7 +138,7 @@ class TestTransportEquivalence:
         oracle = SerializabilityOracle()
         for seed in range(4):
             txns, log = make_workload(seed)
-            report, _ = run_windowed(txns, log, parallel=2, n_shards=4)
+            report, _ = run_windowed(txns, log, parallel=0, n_shards=4)
             assert oracle.is_dsr(report.committed_log)
             assert not (report.committed & report.failed)
 
@@ -140,7 +146,7 @@ class TestTransportEquivalence:
         """Same programs, same seed, same service → identical reports
         (the second run rides the transport reset path)."""
         txns, log = make_workload(9)
-        service = TransactionService(k=2, n_shards=2, parallel=1, window=4)
+        service = TransactionService(k=2, n_shards=2, parallel=0, window=4)
         try:
             service.submit_programs(txns)
             first = service.run(schedule=log)
@@ -149,27 +155,6 @@ class TestTransportEquivalence:
             assert report_tuple(first) == report_tuple(second)
         finally:
             service.close()
-
-    def test_spawn_start_method_bit_identical(self):
-        """The pickled-config path (spawn) matches fork/inline."""
-        txns, log = make_workload(2, num_txns=6)
-        base, _ = run_windowed(txns, log, parallel=0)
-        spec = ShardSpec(n_shards=2, k=2)
-        plane = ParallelShardSet(
-            spec, workers=1, window=4, start_method="spawn"
-        )
-        service = TransactionService(k=2, n_shards=2, parallel=0, window=4)
-        # Swap the inline plane for the spawn-transport one.
-        service.executor.parallel_plane.close()
-        service.executor.parallel_plane = plane
-        try:
-            service.submit_programs(txns)
-            got = service.run(schedule=log)
-            assert plane._transport.start_method == "spawn"
-            assert report_tuple(got) == report_tuple(base)
-        finally:
-            service.close()
-            plane.close()
 
 
 class TestAntiStarvation:
@@ -183,14 +168,14 @@ class TestAntiStarvation:
 
     def test_seeded_rows_replicate_bit_identically(self):
         """The III-D-4 remedy re-seeds aborted rows *inside* a shard
-        engine; the coordinator must re-ship the seeded snapshot, so
-        worker runs stay equivalent to inline ones."""
+        engine; the coordinator must re-ship the seeded snapshot to the
+        other data node, so 2-node runs stay equivalent to inline ones."""
         txns, log = self.hot_workload()
         base, _ = run_windowed(
             txns, log, parallel=0, anti_starvation=True, window=3
         )
         got, _ = run_windowed(
-            txns, log, parallel=2, anti_starvation=True, window=3
+            txns, log, anti_starvation=True, window=3, **LOOPBACK_NODES
         )
         assert report_tuple(got) == report_tuple(base)
         assert SerializabilityOracle().is_dsr(base.committed_log)
@@ -199,91 +184,45 @@ class TestAntiStarvation:
         """anti_starvation plumbs through ShardSpec into the per-shard
         schedulers (not just the legacy executor path)."""
         spec = ShardSpec(n_shards=2, k=2, anti_starvation=True)
-        plane = ParallelShardSet(spec, workers=0, window=4)
+        plane = ParallelShardSet(spec, window=4)
         assert plane._config[2] is True
         plane.close()
 
 
-class TestFailureSurfacing:
-    def test_worker_crash_names_worker_and_shards(self):
-        txns, log = make_workload(1)
-        service = TransactionService(k=2, n_shards=2, parallel=1, window=4)
-        try:
-            service.submit_programs(txns)
-            service.run(schedule=log)  # spins the worker up
-            process, _conn, _sids = (
-                service.executor.parallel_plane._transport._workers[0]
+class TestOneInProcessPlane:
+    def test_inline_transport_refuses_hosts(self):
+        """The inline plane hosts every shard in-process; asking it for
+        hosts names the transports that have them."""
+        with pytest.raises(ValueError, match="loopback"):
+            TransactionService(k=2, n_shards=2, parallel=1)
+        with pytest.raises(ValueError, match="tcp"):
+            TransactionService(
+                k=2, n_shards=2, parallel=2, transport="inline"
             )
-            process.kill()
-            process.join(timeout=10)
-            service.submit_programs(txns)
-            with pytest.raises(ParallelExecutionError) as excinfo:
-                service.run(schedule=log)
-            assert excinfo.value.worker == 0
-            assert set(excinfo.value.shards) == {0, 1}
-            assert "worker 0" in str(excinfo.value)
-        finally:
-            service.close()
 
-    def test_no_live_children_after_mid_window_failure(self):
-        """A mid-window ParallelExecutionError must close the plane on
-        the way out: the *surviving* workers are shut down too, not
-        leaked as live children of the coordinator process."""
+    def test_pipe_transport_is_gone(self):
+        with pytest.raises(ValueError, match="transport"):
+            TransactionService(k=2, n_shards=2, parallel=0, transport='pipe')
+
+    def test_windowed_run_starts_no_process(self):
         import multiprocessing
 
         txns, log = make_workload(1)
-        service = TransactionService(k=2, n_shards=4, parallel=2, window=4)
-        try:
-            service.submit_programs(txns)
-            service.run(schedule=log)  # spins both workers up
-            workers = service.executor.parallel_plane._transport._workers
-            processes = [entry[0] for entry in workers.values()]
-            assert len(processes) == 2
-            assert all(process.is_alive() for process in processes)
-            processes[0].kill()
-            processes[0].join(timeout=10)
-            service.submit_programs(txns)
-            with pytest.raises(ParallelExecutionError):
-                service.run(schedule=log)
-            # Close-on-error: the healthy worker is gone as well.
-            for process in processes:
-                process.join(timeout=10)
-                assert not process.is_alive()
-            leaked = set(processes) & set(multiprocessing.active_children())
-            assert not leaked
-        finally:
-            service.close()
-
-    def test_worker_exception_propagates_with_traceback(self):
-        txns, log = make_workload(1)
-        service = TransactionService(k=2, n_shards=1, parallel=1, window=4)
+        service = TransactionService(k=2, n_shards=4, parallel=0, window=4)
         try:
             service.submit_programs(txns)
             service.run(schedule=log)
-            plane = service.executor.parallel_plane
-            plane._transport.request(0, ("bogus-kind",))
-            with pytest.raises(ParallelExecutionError, match="bogus-kind"):
-                plane._transport.collect(0)
+            assert multiprocessing.active_children() == []
         finally:
             service.close()
 
-
-class TestFanoutPlanning:
-    def test_jobs_clamped_to_cpus(self):
-        assert plan_fanout(8, None, cpu=4) == 4
-        assert plan_fanout(2, None, cpu=16) == 2
-
-    def test_shard_workers_force_single_job(self):
-        assert plan_fanout(8, 2, cpu=16) == 1
-        assert plan_fanout(8, 4, cpu=16) == 1
-
-    def test_inline_and_single_worker_keep_pool(self):
-        assert plan_fanout(8, 0, cpu=16) == 8
-        assert plan_fanout(8, 1, cpu=16) == 8
-
-    def test_floor_of_one(self):
-        assert plan_fanout(0, None, cpu=4) == 1
-        assert plan_fanout(-3, 2, cpu=4) == 1
+    def test_stage_snapshot_has_one_host(self):
+        txns, log = make_workload(1)
+        _report, snap = run_windowed(txns, log, parallel=0, n_shards=4)
+        parallel = snap["parallel"]
+        assert parallel["assignments"] == {"0": [0, 1, 2, 3]}
+        for gone in ("workers", "start_method", "worker_occupancy"):
+            assert gone not in parallel
 
 
 class TestKnobPlumbing:
@@ -318,14 +257,14 @@ class TestKnobPlumbing:
         with pytest.raises(TypeError, match="decision_core"):
             TransactionService(decision_core="python")
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--decision-core", "python"])
+            build_parser().parse_args(["check", "--decision-core", "python"])
 
     def test_invalid_configs_rejected(self):
         spec = ShardSpec(n_shards=2, k=2)
         with pytest.raises(ValueError, match="workers"):
-            ParallelShardSet(spec, workers=-1)
+            RecoverableShardSet(spec, workers=-1)
         with pytest.raises(ValueError, match="window"):
-            ParallelShardSet(spec, workers=0, window=0)
+            ParallelShardSet(spec, window=0)
         with pytest.raises(ValueError, match="write_policy"):
             TransactionService(
                 k=2, n_shards=2, parallel=0, write_policy="deferred"
@@ -337,7 +276,7 @@ class TestKnobPlumbing:
 
     def test_closed_plane_refuses_runs(self):
         spec = ShardSpec(n_shards=2, k=2)
-        plane = ParallelShardSet(spec, workers=0, window=4)
+        plane = ParallelShardSet(spec, window=4)
         plane.close()
         with pytest.raises(RuntimeError, match="closed"):
             plane.begin_run()

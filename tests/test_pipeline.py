@@ -144,13 +144,25 @@ class TestDeterminism:
         assert len(outputs) == 1
 
     def test_bench_cell_identical_across_processes(self):
-        """A sharded bench cell's counters are identical when computed in
-        two different worker processes (the --jobs 1 vs --jobs 4 claim)."""
+        """A sharded run's counters, outcomes and stage snapshot are
+        identical when computed in two processes with different hash
+        seeds: a seed determines the whole cell."""
         script = (
-            "import json\n"
-            "from repro.obs.bench import run_seed\n"
-            "cell = run_seed('mt3_shard2', 0)\n"
-            "cell.pop('wall_s')\n"
+            "import json, random\n"
+            "from repro.engine.pipeline import TransactionService\n"
+            "from repro.model.generator import WorkloadSpec, "
+            "generate_transactions\n"
+            "spec = WorkloadSpec(num_txns=8, ops_per_txn=4, num_items=6, "
+            "write_ratio=0.5, skew=1.5)\n"
+            "service = TransactionService(k=3, n_shards=2, max_attempts=8)\n"
+            "service.submit_programs("
+            "generate_transactions(spec, random.Random(0)))\n"
+            "report = service.run(seed=0)\n"
+            "cell = dict(stats=dict(service.executor.stats), "
+            "committed=sorted(report.committed), "
+            "failed=sorted(report.failed), "
+            "visits=service.scheduler.table.element_visits, "
+            "stages=service.stage_snapshot())\n"
             "print(json.dumps(cell, sort_keys=True))\n"
         )
         outputs = set()

@@ -134,13 +134,10 @@ class TestOpenLoopPipeline:
     def test_open_loop_inline_equals_process_workers(self):
         txns, arrivals = generate_zipf_workload(SMALL, random.Random(6))
         reports = []
-        for parallel in (0, 2):
+        # In-process engines, then two data-node processes over TCP.
+        for hosts in (dict(parallel=0), dict(parallel=2, transport="tcp")):
             service = TransactionService(
-                k=3,
-                n_shards=2,
-                anti_starvation=True,
-                parallel=parallel,
-                window=8,
+                k=3, n_shards=2, anti_starvation=True, window=8, **hosts
             )
             try:
                 service.submit_programs(txns)
