@@ -171,7 +171,7 @@ class MultiversionMixin:
         """Record ``T_i`` ordered after ``T_j`` (the bookkeeping
         ``_set_less`` performs; needed when the order already held and no
         ``Set`` call was spent confirming it)."""
-        if j == i:
+        if j == i or not self.partial_rollback or j in self.committed:
             return
         successors = self._successors.get(j)
         if successors is None:

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mtk import MTkScheduler
+from repro.core.table import TimestampTable
 from repro.engine.executor import TransactionExecutor
 from repro.model.generator import WorkloadSpec, generate_transactions
 from repro.model.log import Log
@@ -23,10 +24,13 @@ class TestReclaim:
         assert scheduler.reclaim_committed() == 0
         scheduler.process(read(2, "x"))
         scheduler.process(write(2, "x"))
+        assert 1 in scheduler.table.known_txns()  # still in x's histories
         scheduler.commit(2)
-        # Now T2 supersedes T1 everywhere and T1's history entry is dead.
-        assert scheduler.reclaim_committed() == 1
+        # Now T2 supersedes T1 everywhere: T2's commit cuts T1's history
+        # entries, and T1's row goes with its last reference — before
+        # any sweep runs.
         assert 1 not in scheduler.table.known_txns()
+        assert scheduler.reclaim_committed() == 0
 
     def test_uncommitted_rows_survive(self):
         scheduler = MTkScheduler(2)
@@ -71,6 +75,31 @@ class TestReclaim:
         # Still-referenced rows: at most one reader + one writer per item,
         # plus any non-committed stragglers.
         assert after <= 2 * spec.num_items + len(report.failed)
+
+    def test_one_table_scan_per_sweep(self, monkeypatch):
+        """The sweep reads the live rows once and asks each row's
+        reference count — not a ``known_txns()`` and an ``RT``/``WT`` scan
+        per candidate, which made it O(rows * (rows + items))."""
+        scans = {"known_txns": 0, "_rows": 0}
+        for name in scans:
+            real = getattr(TimestampTable, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                scans[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(TimestampTable, name, counted)
+        scheduler = MTkScheduler(3)
+        for txn in range(1, 301):
+            for op in (read(txn, f"x{txn % 7}"), write(txn, f"y{txn % 5}")):
+                if txn not in scheduler.aborted:
+                    scheduler.process(op)
+            if txn not in scheduler.aborted:
+                scheduler.commit(txn)
+        for include_aborted in (False, True):
+            scans.update(known_txns=0, _rows=0)
+            scheduler.reclaim_committed(include_aborted=include_aborted)
+            assert scans == {"known_txns": 1, "_rows": 0}
 
     def test_long_run_table_stays_bounded(self):
         """III-D-6a: with 8-10 active transactions at a time, periodic
@@ -159,7 +188,8 @@ class TestReclaimNeverChangesADecision:
         """40 transactions over 4 items, 5 at a time, rejected ones
         restarted or abandoned: reclaiming every *cadence* steps decides
         every operation as never reclaiming does and leaves the same
-        ``RT`` / ``WT`` and the same vector in every surviving row."""
+        ``RT`` / ``WT`` and the same vector in every surviving row.
+        (Both free rows at commit; the sweep can only free more.)"""
         reclaiming = MTkScheduler(3, **options)
         never = MTkScheduler(3, **options)
         assert drive(reclaiming, seed, reclaim_every=cadence) == drive(never, seed)
@@ -167,4 +197,19 @@ class TestReclaimNeverChangesADecision:
         kept = reclaiming.table.snapshot()
         full = never.table.snapshot()
         assert kept == {txn: full[txn] for txn in kept}
-        assert len(kept) < len(full)
+
+    def test_the_cadence_streams_reclaim(self):
+        """The property above is not vacuous: on the same streams the
+        sweep frees rows the commit-time count had to keep (histories
+        whose order settled after the commits that cut them)."""
+        swept = fewer = 0
+        for seed in range(40):
+            reclaiming = MTkScheduler(3)
+            calls = []
+            sweep = reclaiming.reclaim_committed
+            reclaiming.reclaim_committed = lambda: calls.append(sweep()) or 0
+            never = MTkScheduler(3)
+            assert drive(reclaiming, seed, reclaim_every=1) == drive(never, seed)
+            swept += sum(calls)
+            fewer += len(reclaiming.table.snapshot()) < len(never.table.snapshot())
+        assert swept > 0 and fewer > 0
