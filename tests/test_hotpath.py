@@ -194,7 +194,7 @@ class TestSlabTable:
         table = TimestampTable(2)
         assert table.set_less(1, 2).ok
         table.set_rt("x", 2)
-        table.reclaim(1)  # not referenced by any RT/WT
+        table.retire(1, 0, ["x"])  # committed, not referenced by any RT/WT
         assert 1 not in table.known_txns()
         fresh = table.vector(1)
         assert fresh.is_fresh()

@@ -139,6 +139,27 @@ class TestThomasWriteRule:
         result2 = scheduler2.run(log2)
         assert result2.ignored_writes == 0
 
+    def test_write_below_a_pending_reader_is_not_ignored(self):
+        # An abort-time restore left T2 as a pending reader of x beside
+        # RT(x) = T1.  TS(1) < TS(3) < TS(4) = TS(WT(x)), but T3 is below
+        # T2: somebody may have read a newer x than T3's write, so the
+        # write is not obsolete and must abort, not be dropped.
+        scheduler = MTkScheduler(2, thomas_write_rule=True)
+        table = scheduler.table
+        for txn, first in ((1, 1), (2, 5), (3, 3), (4, 9)):
+            table.vector(txn).set(1, first)
+        table.set_rt("x", 1)
+        table.set_wt("x", 4)
+        scheduler.pending_readers["x"] = [2]
+        decision = scheduler.process(write(3, "x"))
+        assert decision.status is DecisionStatus.REJECT
+        # Without the pending reader the same write is obsolete.
+        scheduler.restart(3)
+        table.vector(3).set(1, 3)
+        scheduler.pending_readers.clear()
+        decision = scheduler.process(write(3, "x"))
+        assert decision.status is DecisionStatus.IGNORE
+
 
 class TestReadRules:
     def test_line9_bypass_accepts_read_under_newer_reader(self):

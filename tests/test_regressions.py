@@ -213,10 +213,10 @@ class _Marker(float):
 
 
 class TestReclaimLeavesRowCollectable:
-    """Bug 6 (PR 6): ``TimestampTable.reclaim()`` dropped the row from the
-    slab but something else — then the comparison cache, since deleted —
-    kept strong references to the dead vector.  Whatever the mechanism,
-    the behaviour stays pinned: a reclaimed row is garbage."""
+    """Bug 6: a freed row left the slab, but something else — then the
+    comparison cache, since deleted — kept strong references to the dead
+    vector.  Whatever the mechanism, the behaviour stays pinned: a
+    reclaimed row is garbage."""
 
     @pytest.mark.parametrize(
         "txn", [1, _SLAB_LIMIT + 1], ids=["slab", "spill"]
@@ -235,7 +235,7 @@ class TestReclaimLeavesRowCollectable:
         table.compare_vectors(table.vector(other), table.vector(txn))
         gc.collect()
         assert alive() is not None
-        table.reclaim(txn)
+        table.retire(txn, 0, ())  # committed, nothing names it
         gc.collect()
         assert alive() is None, "reclaimed row is still referenced"
 

@@ -117,17 +117,19 @@ class TestLatestAccessor:
 class TestReclaim:
     def test_reclaim_requires_no_references(self):
         table = TimestampTable(2)
+        assert table.set_less(VIRTUAL_TXN, 1).ok
         table.set_rt("x", 1)
-        with pytest.raises(ValueError):
-            table.reclaim(1)
-        table.set_rt("x", 2)
-        table.reclaim(1)  # now legal (III-D-6b)
+        table.retire(1, 0, ["x"])  # T1 committed; RT(x) still names it
+        assert 1 in table.known_txns()
+        assert table.is_held(1)
+        table.set_rt("x", 2)  # the last reference goes (III-D-6b)
         assert 1 not in table.known_txns()
+        assert not table.is_held(1)
 
     def test_virtual_row_is_permanent(self):
         table = TimestampTable(2)
         with pytest.raises(ValueError):
-            table.reclaim(VIRTUAL_TXN)
+            table.retire(VIRTUAL_TXN, 0, ())
 
 
 class TestOptimizedEncoding:
