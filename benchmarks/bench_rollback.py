@@ -12,7 +12,7 @@ import random
 
 from repro.analysis.report import render_table
 from repro.core.mtk import MTkScheduler
-from repro.engine.executor import TransactionExecutor
+from repro.engine.pipeline import PipelineExecutor
 from repro.model.generator import WorkloadSpec, generate_transactions
 
 from benchmarks._util import save_result
@@ -30,7 +30,7 @@ def run_policy(rollback: str, write_policy: str):
             anti_starvation=(rollback == "full"),
             partial_rollback=(rollback == "partial"),
         )
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             scheduler,
             max_attempts=8,
             rollback=rollback,

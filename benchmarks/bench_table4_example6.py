@@ -11,7 +11,7 @@ import random
 
 from repro.analysis.report import render_table
 from repro.core.nested import NestedScheduler, groups_by_read_write_sets
-from repro.engine.executor import TransactionExecutor
+from repro.engine.pipeline import PipelineExecutor
 from repro.model.generator import interleave
 from repro.workloads.nested_wl import TABLE_IV_TYPES, typed_transactions
 
@@ -23,7 +23,7 @@ def run_typed_workload(seed: int = 0):
     txns, _ = typed_transactions(TABLE_IV_TYPES, 5, rng)
     groups = groups_by_read_write_sets(txns)
     scheduler = NestedScheduler(2, 2, groups)
-    executor = TransactionExecutor(scheduler, max_attempts=8)
+    executor = PipelineExecutor(scheduler, max_attempts=8)
     report = executor.execute(txns, seed=seed)
     return scheduler, report, groups, txns
 

@@ -18,7 +18,7 @@ import random
 from repro import NestedScheduler
 from repro.core import render_snapshot
 from repro.core.nested import groups_by_read_write_sets
-from repro.engine import TransactionExecutor
+from repro.engine import PipelineExecutor
 from repro.model import interleave, two_step
 
 ORDER_ENTRY = dict(reads=("catalog", "stock"), writes=("stock", "ledger"))
@@ -47,7 +47,7 @@ def main() -> None:
         )
 
     scheduler = NestedScheduler(k1=2, k2=2, group_of=groups)
-    executor = TransactionExecutor(scheduler, max_attempts=10)
+    executor = PipelineExecutor(scheduler, max_attempts=10)
     report = executor.execute(transactions, seed=4)
 
     print(f"\ncommitted: {sorted(report.committed)}")

@@ -49,7 +49,6 @@ from .engine import (
     IntervalScheduler,
     OptimisticScheduler,
     StrictTwoPLScheduler,
-    TransactionExecutor,
 )
 
 __all__ += [
@@ -64,7 +63,6 @@ __all__ += [
     "StrictTwoPLScheduler",
     "OptimisticScheduler",
     "IntervalScheduler",
-    "TransactionExecutor",
 ]
 
 from .core import MVMTkScheduler

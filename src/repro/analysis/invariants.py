@@ -79,7 +79,7 @@ def check_strict_partial_order(table: TimestampTable) -> None:
 def check_indices_live(scheduler: MTkScheduler) -> None:
     # Partial-rollback victims (VI-C 1) keep their effects and indices on
     # purpose: they resume from the failed operation, so they are exempt.
-    preserved = getattr(scheduler, "partial_ok", set())
+    preserved = scheduler.partial_ok
     for item in list(scheduler._readers) + list(scheduler._writers):
         for index in (scheduler.table.rt(item), scheduler.table.wt(item)):
             if (

@@ -22,8 +22,8 @@ outcomes against the paper's (empirically verified) class hierarchy:
   ``executor-overlap``);
 * the sharded pipeline service must commit a DSR projection for every
   shard count (``pipeline-dsr``, ``pipeline-overlap``), and with one
-  shard its report must be **bit-for-bit identical** to the legacy
-  ``TransactionExecutor(MTkScheduler(2))`` — same committed/failed
+  shard its report must be **bit-for-bit identical** to a bare
+  ``PipelineExecutor(MTkScheduler(2))`` — same committed/failed
   sets, same counters, same committed-operation sequence
   (``pipeline-legacy-equivalence``);
 * the in-process windowed plane must commit a DSR projection for every
@@ -80,8 +80,8 @@ from ..core.mtk import MTkScheduler
 from ..core.multiversion import MVMTkScheduler
 from ..core.protocol import Scheduler
 from ..core.table import OptimizedEncoding
-from ..engine.executor import TransactionExecutor
-from ..engine.pipeline import TransactionService
+from ..engine.interval import IntervalScheduler
+from ..engine.pipeline import PipelineExecutor, TransactionService
 from ..engine.optimistic import OptimisticScheduler
 from ..engine.to_scheduler import ConventionalTOScheduler
 from ..engine.two_pl_scheduler import StrictTwoPLScheduler
@@ -142,6 +142,17 @@ _EXECUTOR_CONFIGS: tuple[tuple[str, SchedulerFactory, dict[str, Any]], ...] = (
     ("to", lambda: ConventionalTOScheduler(), {}),
     ("2pl", lambda: StrictTwoPLScheduler(), {}),
     ("opt", lambda: OptimisticScheduler(), {"write_policy": "deferred"}),
+    ("interval", IntervalScheduler, {}),
+    # MT(k*) fails as a whole rather than rejecting one transaction (the
+    # executor's global-restart path) and overrides no other lifecycle
+    # verb: the Scheduler defaults carry it, deferred writes included.
+    ("mtstar3", lambda: MTkStarScheduler(3), {}),
+    (
+        "mtstar3_deferred",
+        lambda: MTkStarScheduler(3),
+        {"write_policy": "deferred"},
+    ),
+    ("dmt2", lambda: DMTkScheduler(2), {}),
 )
 
 
@@ -266,7 +277,7 @@ def executor_violations(
     text = str(log)
     transactions = list(log.transactions.values())
     for name, factory, kwargs in _EXECUTOR_CONFIGS:
-        executor = TransactionExecutor(factory(), **kwargs)
+        executor = PipelineExecutor(factory(), **kwargs)
         report = executor.execute(transactions, schedule=log)
         overlap = report.committed & report.failed
         if overlap:
@@ -297,15 +308,15 @@ def pipeline_violations(
 ) -> list[Violation]:
     """Sharded-service checks: for every shard count the pipeline must
     commit a DSR projection with disjoint committed/failed sets, and
-    ``n_shards=1`` must reproduce the legacy executor's report exactly
-    (the compatibility fast lane is bit-for-bit the monolithic loop)."""
+    ``n_shards=1`` must reproduce a bare executor's report exactly (the
+    service adds nothing to the plain fast lane)."""
     oracle = oracle if oracle is not None else SerializabilityOracle()
     violations: list[Violation] = []
     text = str(log)
     transactions = list(log.transactions.values())
     if not transactions:
         return violations
-    legacy = None
+    bare = None
     for n_shards in shards:
         service = TransactionService(k=2, n_shards=n_shards)
         service.submit_programs(transactions)
@@ -331,17 +342,17 @@ def pipeline_violations(
             )
         if n_shards != 1:
             continue
-        if legacy is None:
-            legacy = TransactionExecutor(MTkScheduler(2)).execute(
+        if bare is None:
+            bare = PipelineExecutor(MTkScheduler(2)).execute(
                 transactions, schedule=log
             )
-        mismatches = _report_mismatches(report, legacy)
+        mismatches = _report_mismatches(report, bare)
         if mismatches:
             violations.append(
                 Violation(
                     "pipeline-legacy-equivalence",
                     text,
-                    "pipeline[shards=1] diverged from the legacy executor "
+                    "pipeline[shards=1] diverged from the bare executor "
                     f"in: {', '.join(mismatches)}",
                 )
             )
@@ -391,7 +402,7 @@ def mvcc_violations(
                     f"{tag} committed and failed overlap: {sorted(overlap)}",
                 )
             )
-        read_aborts = getattr(scheduler, "mv_read_aborts", 0)
+        read_aborts = scheduler.mv_read_aborts
         if read_aborts:
             violations.append(
                 Violation(

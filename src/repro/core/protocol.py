@@ -12,6 +12,13 @@ every controller — MT(k), MT(k*), MT(k1,k2), DMT(k) and the baselines
 * :meth:`Scheduler.run` replays a whole log and returns the full record,
   which the Tables I-III reproduction benches render.
 
+Executing a protocol with restarts, partial rollback and deferred
+validation (Section VI-C) needs a little more: the executor tells the
+scheduler when a transaction restarts or commits and asks whether it
+may commit.  That lifecycle is declared on :class:`Scheduler` too, with
+defaults that fit a recognizer keeping no per-transaction state across
+an abort, so a family overrides only what it tracks.
+
 A ``REJECT`` decision means the issuing transaction must abort.  An
 ``IGNORE`` decision (Thomas write rule, Section III-D-6c) means the
 operation is safely skipped: the transaction lives on and the log is still
@@ -23,10 +30,10 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import AbstractSet, Any, Iterable, Mapping, Sequence
 
 from ..model.log import Log
-from ..model.operations import Operation
+from ..model.operations import Operation, Transaction
 
 
 class DecisionStatus(enum.Enum):
@@ -162,6 +169,47 @@ class Scheduler(abc.ABC):
         """Current timestamp-table snapshot, if the scheduler keeps one and
         tracing is enabled; ``None`` otherwise (baselines without tables)."""
         return None
+
+    # ------------------------------------------------------------------
+    # Execution lifecycle: what the executor tells and asks (Section VI-C)
+    # ------------------------------------------------------------------
+    #: Transactions rejected and not restarted since; families that track
+    #: them bind their own set in ``reset()``.
+    aborted: AbstractSet[int] = frozenset()
+    #: Rejected transactions whose executed prefix may stay (VI-C 1).
+    partial_ok: AbstractSet[int] = frozenset()
+    #: Set once nothing can be accepted before ``reset()`` (Algorithm 2
+    #: step 4 i): the executor then restarts the whole epoch.
+    failed: bool = False
+
+    def plan_transactions(self, transactions: Sequence[Transaction]) -> None:
+        """Learn the programs before a run (predeclared lock sets)."""
+
+    def restart(self, txn: int) -> None:
+        """Rejected *txn* runs again: forget the rejection."""
+
+    def cascade_restart(self, txn: int) -> None:
+        """Roll back *txn*, which was never rejected (a cascade or
+        commit-dependency-cycle victim)."""
+
+    def prune_aborted(self, txn: int) -> int:
+        """Retract the aborted attempt's versions; returns how many."""
+        return 0
+
+    def validate_commit(self, txn: int) -> bool:
+        """Commit-time validation; ``False`` aborts *txn*."""
+        return True
+
+    def commit(self, txn: int) -> None:
+        """*txn* committed."""
+
+    def commit_dependencies(self, txn: int) -> AbstractSet[int]:
+        """Uncommitted writers *txn* read from: it commits after them."""
+        return frozenset()
+
+    def readers_of(self, txn: int) -> AbstractSet[int]:
+        """Active readers of *txn*'s writes: they roll back with it."""
+        return frozenset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

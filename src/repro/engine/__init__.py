@@ -1,14 +1,14 @@
 """Execution engine: executor, baseline schedulers, rollback machinery."""
 
-from .scheduler_api import (
+from ..core.protocol import (
     Decision,
     DecisionStatus,
     RunResult,
     Scheduler,
     acceptance_count,
 )
-from .executor import ExecutionReport, TransactionExecutor
 from .pipeline import (
+    ExecutionReport,
     PipelineExecutor,
     Session,
     ShardRouter,
@@ -28,7 +28,6 @@ __all__ = [
     "Scheduler",
     "acceptance_count",
     "ExecutionReport",
-    "TransactionExecutor",
     "PipelineExecutor",
     "Session",
     "ShardRouter",

@@ -24,7 +24,12 @@ The paper's four criticisms are all reproducible knobs here:
 Like MT(k), the scheduler tracks ``RT``/``WT`` per item to find the
 dependencies (point 2 of VI-A notes [1] itself left discovery unspecified —
 we give it the same discovery machinery MT(k) has, so the comparison
-isolates the *encoding* difference).
+isolates the *encoding* difference).  A rejected transaction leaves the
+indices: each item keeps its accessors in acceptance order, and ``RT`` /
+``WT`` fall back to the latest surviving reader / writer.  Every access is
+ordered after both ``RT`` and ``WT``, so an item's accessors form a chain
+and intervals only shrink: ordering against the survivor keeps every
+dependency the victim carried.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from ..obs.instrument import Instrumented
 
 #: The virtual initial transaction; its interval is the single point 0.
 VIRTUAL = 0
+_NOBODY = (VIRTUAL, 0)
 
 
 @dataclass
@@ -83,9 +89,12 @@ class IntervalScheduler(Instrumented, Scheduler):
 
     def reset(self) -> None:
         self._intervals: dict[int, Interval] = {VIRTUAL: Interval(0, 1)}
-        self._rt: dict[str, int] = {}
-        self._wt: dict[str, int] = {}
-        self._seq: dict[str, tuple[int, int]] = {}  # item -> (rt_seq, wt_seq)
+        # item -> (txn, acceptance seq) of the latest reader / writer
+        self._rt: dict[str, tuple[int, int]] = {}
+        self._wt: dict[str, tuple[int, int]] = {}
+        # item -> (txn, seq, is_read) of every live accessor, in order
+        self._accessors: dict[str, list[tuple[int, int, bool]]] = {}
+        self._touched: dict[int, set[str]] = {}
         self._counter = 0
         self.aborted: set[int] = set()
         self.reset_observability()
@@ -100,9 +109,8 @@ class IntervalScheduler(Instrumented, Scheduler):
 
     def _process(self, op: Operation) -> Decision:
         i, x = op.txn, op.item
-        rt = self._rt.get(x, VIRTUAL)
-        wt = self._wt.get(x, VIRTUAL)
-        rt_seq, wt_seq = self._seq.get(x, (0, 0))
+        rt, rt_seq = self._rt.get(x, _NOBODY)
+        wt, wt_seq = self._wt.get(x, _NOBODY)
         predecessors = [wt, rt] if wt_seq > rt_seq else [rt, wt]
         for j in predecessors:
             if j == i:
@@ -110,15 +118,28 @@ class IntervalScheduler(Instrumented, Scheduler):
             reason = self._order(j, i)
             if reason is not None:
                 self.aborted.add(i)
+                self._retract(i)
                 return Decision(DecisionStatus.REJECT, op, reason)
         self._counter += 1
-        if op.kind.is_read:
-            self._rt[x] = i
-            self._seq[x] = (self._counter, wt_seq)
-        else:
-            self._wt[x] = i
-            self._seq[x] = (rt_seq, self._counter)
+        is_read = op.kind.is_read
+        (self._rt if is_read else self._wt)[x] = (i, self._counter)
+        self._accessors.setdefault(x, []).append((i, self._counter, is_read))
+        self._touched.setdefault(i, set()).add(x)
         return Decision(DecisionStatus.ACCEPT, op)
+
+    def _retract(self, txn: int) -> None:
+        """Drop *txn*'s accesses; ``RT``/``WT`` fall back to survivors."""
+        for x in self._touched.pop(txn, ()):
+            accessors = [a for a in self._accessors[x] if a[0] != txn]
+            self._accessors[x] = accessors
+            for index, is_read in ((self._rt, True), (self._wt, False)):
+                latest = next(
+                    (a for a in reversed(accessors) if a[2] is is_read), None
+                )
+                if latest is None:
+                    index.pop(x, None)
+                else:
+                    index[x] = latest[:2]
 
     # ------------------------------------------------------------------
     def _order(self, j: int, i: int) -> str | None:

@@ -8,9 +8,7 @@ Stage map (one dispatched operation, left to right)::
                   └─> MT(k)/DMT(k) scheduler           partitioned,
                         └─> StorageBackend + UndoLog   cross-shard DSR
 
-:class:`PipelineExecutor` (service.py) drives the stages; the legacy
-``repro.engine.executor.TransactionExecutor`` is a thin compatibility
-subclass of it.
+:class:`PipelineExecutor` (service.py) drives the stages.
 """
 
 from .admission import (

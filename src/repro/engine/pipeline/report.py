@@ -2,10 +2,7 @@
 
 :class:`ExecutionReport` is the contract between the execution pipeline
 and everything downstream of it — benches, the conformance fuzzer, and
-the serializability property tests.  It lives in the pipeline package
-(rather than ``engine.executor``) so the staged service can produce one
-without importing the compatibility driver; ``repro.engine.executor``
-re-exports it for existing call sites.
+the serializability property tests.
 """
 
 from __future__ import annotations

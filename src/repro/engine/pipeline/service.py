@@ -1,10 +1,8 @@
 """The staged execution core: admission → shard → schedule → storage.
 
-:class:`PipelineExecutor` is the engine behind both the legacy
-:class:`~repro.engine.executor.TransactionExecutor` (a thin
-compatibility subclass) and the :class:`~repro.engine.pipeline.sessions.
-TransactionService` frontend.  One dispatched operation flows through
-four stages:
+:class:`PipelineExecutor` is the one transaction executor: used directly,
+and behind the :class:`~repro.engine.pipeline.sessions.TransactionService`
+frontend.  One dispatched operation flows through four stages:
 
 1. **admission** — the :class:`~repro.engine.pipeline.admission.
    AdmissionQueue` dispenses the next transaction id (batching, bounds
@@ -26,7 +24,7 @@ Three lanes drive the same stage methods (``_handle_abort``,
 ``_break_dependency_cycle``, ``_global_restart``):
 
 * the **plain fast lane** — taken when the admission queue is plain
-  (no batching, no capacity, zero-delay retries, i.e. every legacy
+  (no batching, no capacity, zero-delay retries, i.e. the default
   configuration): the loop iterates the queue's backing list with a
   local pointer, exactly the monolithic executor's loop;
 * the **staged lane** — every other sequential configuration: work is
@@ -49,7 +47,9 @@ end.  One object rather than six bound attributes, because CPython 3.11
 drops an instance's inline attribute values past 30 attributes and every
 ``self.x`` on the per-operation path then pays (≈ +1 % wall time; both
 in EXPERIMENTS.md).  ``scheduler.aborted`` is read per call: ``reset()``
-rebinds it.
+rebinds it.  Every scheduler speaks the lifecycle declared on
+:class:`~repro.core.protocol.Scheduler` (restart, commit, validation,
+commit dependencies), so the executor calls it without probing.
 
 All randomness is an explicit ``random.Random(seed)`` threaded through
 interleaving and admission — never module-level ``random`` — so a seed
@@ -98,12 +98,12 @@ class _TxnState:
         self.executed_this_attempt = 0
 
 
-def _nobody(txn_id: int) -> frozenset[int]:
-    return frozenset()
-
-
 class _LocalScheduler:
-    """The seam's sequential side: the scheduler is in-process."""
+    """The seam's sequential side: the scheduler is in-process.
+
+    ``restart`` / ``cascade_restart`` / ``commit`` resolve on the
+    scheduler per call: a tracer may patch its class after the executor
+    exists."""
 
     def __init__(self, scheduler: Scheduler, shards: ShardSet | None) -> None:
         self._scheduler = scheduler
@@ -111,34 +111,26 @@ class _LocalScheduler:
         # Uncommitted version writers a transaction read from, and the
         # active readers of its versions: the multiversion scheduler's
         # records, nobody under a single-version one.
-        self.commit_dependencies = getattr(
-            scheduler, "commit_dependencies", _nobody
-        )
-        self.dependents_of = getattr(scheduler, "readers_of", _nobody)
+        self.commit_dependencies = scheduler.commit_dependencies
+        self.dependents_of = scheduler.readers_of
 
     def forget(self, txn_id: int, retrying: bool) -> None:
         """A rolled-back transaction restarts, or failed for good."""
         scheduler = self._scheduler
-        aborted = getattr(scheduler, "aborted", None)
-        if aborted is not None and txn_id not in aborted:
+        if txn_id not in scheduler.aborted:
             # Cascade / cycle victim: the scheduler never rejected it, so
             # no _abort retracted its chain entries and restart() would
             # balk — roll its scheduler state back directly (failed too:
             # a dead transaction must not stay an indexed accessor).
-            forget = getattr(scheduler, "cascade_restart", None)
+            scheduler.cascade_restart(txn_id)
         elif retrying:
-            forget = getattr(scheduler, "restart", None)
-        else:
-            return  # rejected, then failed: stays marked aborted
-        if callable(forget):
-            forget(txn_id)
+            scheduler.restart(txn_id)
+        # else rejected, then failed: stays marked aborted
 
     def commit(self, txn_id: int) -> None:
         if self._shards is not None:
             self._shards.record_commit(txn_id)
-        commit = getattr(self._scheduler, "commit", None)
-        if callable(commit):
-            commit(txn_id)
+        self._scheduler.commit(txn_id)
 
     def reset(self) -> None:
         self._scheduler.reset()
@@ -191,7 +183,36 @@ class _PlaneSchedulers:
 
 
 class PipelineExecutor(Instrumented):
-    """Drives transactions through the staged pipeline with retries."""
+    """Drives transactions through a scheduler and storage with retries.
+
+    The paper's protocols are recognizers over logs; a real system also
+    moves data and retries aborted transactions:
+
+    * an **accepted** read/write executes against the database (reads
+      return the stored value; writes store a value derived from the
+      transaction id, so reads-from relationships are observable in the
+      final state);
+    * an **ignored** write (Thomas rule) is skipped;
+    * a **rejected** operation aborts the issuing transaction: its writes
+      are rolled back through the undo log and the whole transaction is
+      re-queued (fresh attempt) until ``max_attempts`` is exhausted.
+
+    Two Section VI-C options change the abort story:
+
+    * ``rollback="partial"`` (VI-C 1, MT(k) schedulers only): when the
+      scheduler reports the abort as *partial-rollback-safe* (no
+      transaction ordered after the victim yet), the victim keeps its
+      executed prefix and resumes from the failed operation — which now
+      succeeds, because the vector was re-seeded past the blocker.
+    * ``write_policy="deferred"`` (VI-C 2): writes are buffered privately
+      and validated/applied only at the transaction's last operation
+      ("two-phase commit for each write").  Aborts then cost no undo at
+      all and a committed transaction can never abort.
+
+    The remaining arguments configure batching, bounded queues,
+    backoff/global-restart retry policies and sharded or windowed
+    scheduling; their defaults are the plain fast lane.
+    """
 
     def __init__(
         self,
@@ -379,9 +400,7 @@ class PipelineExecutor(Instrumented):
         shards = self._shards
         if shards is not None:
             shards.reset()
-        plan = getattr(self.scheduler, "plan_transactions", None)
-        if callable(plan):
-            plan(transactions)
+        self.scheduler.plan_transactions(transactions)
         undo = UndoLog(self.database)
         report = ExecutionReport()
         states = {t.txn_id: _TxnState(t) for t in transactions}
@@ -669,7 +688,7 @@ class PipelineExecutor(Instrumented):
         if shards is not None:
             shards.record(op, decision)
         if decision.status is DecisionStatus.REJECT:
-            if getattr(self.scheduler, "failed", False):
+            if self.scheduler.failed:
                 # Algorithm 2 step 4 i): the composite scheduler has no
                 # surviving subprotocol — abort ALL active transactions,
                 # roll back, reinitialize, restart (epoch reset; committed
@@ -746,8 +765,7 @@ class PipelineExecutor(Instrumented):
                 self._handle_abort(state, undo, report, queue)
                 return
             decisions.append(decision)
-        validate = getattr(self.scheduler, "validate_commit", None)
-        if callable(validate) and not validate(txn_id):
+        if not self.scheduler.validate_commit(txn_id):
             self._handle_abort(state, undo, report, queue)
             return
         for decision in decisions:
@@ -811,7 +829,7 @@ class PipelineExecutor(Instrumented):
         partial_ok = (
             self._partial
             and state.attempt < self.max_attempts
-            and txn_id in getattr(self.scheduler, "partial_ok", ())
+            and txn_id in self.scheduler.partial_ok
         )
         if partial_ok:
             # VI-C 1: effects preserved; resume at the failed operation.
@@ -916,7 +934,7 @@ class PipelineExecutor(Instrumented):
         self._discard_attempt(state, undo, report)
         self._parked.pop(txn_id, None)
         dependents = self._seam.dependents_of(txn_id)
-        self._prune_aborted(txn_id)
+        self.scheduler.prune_aborted(txn_id)
         retrying = self._retry_or_fail(state, report, queue, count_attempt)
         self._seam.forget(txn_id, retrying)
         for reader in sorted(dependents):
@@ -951,20 +969,6 @@ class PipelineExecutor(Instrumented):
             self.events.emit("dependency_cycle", victim=victim)
         self._full_rollback(self._states[victim], undo, report, queue)
 
-    def _prune_aborted(self, txn_id: int) -> None:
-        """Retract an aborted attempt's versions from every chain holder.
-
-        The multiversion scheduler retracts its own chains inside
-        ``_abort`` (this re-prune is idempotent), but a chain-carrying
-        database (:class:`~repro.storage.versioned.MultiversionStore`)
-        whose chains are *not* shared with the scheduler has no undo log
-        — without this hook an aborted writer's versions would linger and
-        be served to later readers."""
-        for holder in (self.scheduler, self.database):
-            prune = getattr(holder, "prune_aborted", None)
-            if callable(prune):
-                prune(txn_id)
-
     def _global_restart(
         self, undo: UndoLog, report: ExecutionReport, queue: Any
     ) -> None:
@@ -985,7 +989,7 @@ class PipelineExecutor(Instrumented):
             if state.position == 0 and state.executed_this_attempt == 0:
                 continue  # had not started; nothing to roll back
             self._discard_attempt(state, undo, report)
-            self._prune_aborted(txn_id)
+            self.scheduler.prune_aborted(txn_id)
             self._retry_or_fail(state, report, queue)
 
     # ------------------------------------------------------------------

@@ -115,8 +115,8 @@ class TransactionService:
     ShardSet` (which builds the MT(k)/DMT(k) scheduler for ``n_shards``
     partitions), the admission configuration, and the
     :class:`~repro.engine.pipeline.service.PipelineExecutor` driving
-    them.  ``n_shards=1`` is bit-identical to the legacy
-    ``TransactionExecutor(MTkScheduler(k))`` — the conformance fuzzer
+    them.  ``n_shards=1`` is bit-identical to a bare
+    ``PipelineExecutor(MTkScheduler(k))`` — the conformance fuzzer
     checks this on every case.
     """
 

@@ -17,7 +17,7 @@ pair of transactions differently on two shards and commit a cycle.
 
 With ``n_shards=1`` the shard stage vanishes: the set builds a plain
 :class:`~repro.core.mtk.MTkScheduler`, whose decisions are bit-identical
-to the legacy executor's (and to DMT(k) on one site, per the property
+to an unsharded executor's (and to DMT(k) on one site, per the property
 test in ``test_distributed``).
 """
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mtk import MTkScheduler
-from repro.engine.executor import TransactionExecutor
+from repro.engine.pipeline import PipelineExecutor
 from repro.engine.pipeline import TransactionService
 from repro.model.generator import WorkloadSpec, generate_transactions
 from repro.storage import (
@@ -75,7 +75,7 @@ class TestWALBackend:
         """After any executor run (including aborts/rollbacks), replaying
         the redo log rebuilds the exact final state."""
         backend = WALBackend()
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(2), database=backend, max_attempts=4
         )
         report = executor.execute(_workload(seed), seed=seed)
@@ -120,11 +120,11 @@ class TestVersionedBackend:
         (the chains only add history, never change the tip)."""
         txns = _workload(seed)
         flat = Database()
-        TransactionExecutor(
+        PipelineExecutor(
             MTkScheduler(2), database=flat, max_attempts=4
         ).execute(txns, seed=seed)
         versioned = VersionedBackend()
-        TransactionExecutor(
+        PipelineExecutor(
             MTkScheduler(2), database=versioned, max_attempts=4
         ).execute(txns, seed=seed)
         assert versioned == flat

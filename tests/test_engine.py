@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.composite import MTkStarScheduler
 from repro.core.mtk import MTkScheduler
-from repro.engine.executor import TransactionExecutor
+from repro.engine.pipeline import PipelineExecutor
 from repro.model.generator import WorkloadSpec, generate_transactions
 from repro.model.log import Log
 from repro.model.operations import two_step
@@ -23,7 +23,7 @@ def _workload(seed, **kwargs):
 class TestBasicExecution:
     def test_conflict_free_workload_commits_everything(self):
         txns = [two_step(i, [f"r{i}"], [f"w{i}"]) for i in range(1, 5)]
-        executor = TransactionExecutor(MTkScheduler(2))
+        executor = PipelineExecutor(MTkScheduler(2))
         report = executor.execute(txns, seed=1)
         assert report.committed == {1, 2, 3, 4}
         assert report.restarts == 0
@@ -32,7 +32,7 @@ class TestBasicExecution:
     def test_writes_reach_database(self):
         txns = [two_step(1, ["a"], ["b"])]
         db = Database()
-        executor = TransactionExecutor(MTkScheduler(2), database=db)
+        executor = PipelineExecutor(MTkScheduler(2), database=db)
         executor.execute(txns)
         assert db.read("b") == "v1:b"
 
@@ -40,7 +40,7 @@ class TestBasicExecution:
         # Fig. 5's starvation log forces at least one abort of T3.
         log = Log.parse("W1[x] W2[x] R3[y] W3[x]")
         txns = [log.transactions[t] for t in sorted(log.txn_ids)]
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(2, anti_starvation=True), max_attempts=3
         )
         report = executor.execute(txns, schedule=log)
@@ -52,16 +52,16 @@ class TestBasicExecution:
         log = Log.parse("W1[x] W2[x] R3[y] W3[x]")
         txns = [log.transactions[t] for t in sorted(log.txn_ids)]
         # Without the starvation remedy T3 aborts forever.
-        executor = TransactionExecutor(MTkScheduler(2), max_attempts=2)
+        executor = PipelineExecutor(MTkScheduler(2), max_attempts=2)
         report = executor.execute(txns, schedule=log)
         assert 3 in report.failed
         assert report.is_serializable()
 
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError):
-            TransactionExecutor(MTkScheduler(2), write_policy="bogus")
+            PipelineExecutor(MTkScheduler(2), write_policy="bogus")
         with pytest.raises(ValueError):
-            TransactionExecutor(MTkScheduler(2), rollback="bogus")
+            PipelineExecutor(MTkScheduler(2), rollback="bogus")
 
 
 class TestPartialRollback:
@@ -72,13 +72,13 @@ class TestPartialRollback:
         # rollback the read is not re-executed.
         log = Log.parse("W1[x] W2[x] R3[y] W3[x]")
         txns = [log.transactions[t] for t in sorted(log.txn_ids)]
-        partial = TransactionExecutor(
+        partial = PipelineExecutor(
             MTkScheduler(2, partial_rollback=True), rollback="partial"
         )
         report = partial.execute(txns, schedule=log)
         assert report.committed == {1, 2, 3}
         assert report.ops_reexecuted == 0  # nothing thrown away
-        full = TransactionExecutor(
+        full = PipelineExecutor(
             MTkScheduler(2, anti_starvation=True), rollback="full"
         )
         report_full = full.execute(txns, schedule=log)
@@ -88,7 +88,7 @@ class TestPartialRollback:
     @settings(max_examples=30, deadline=None)
     def test_partial_rollback_is_serializable(self, seed):
         txns = _workload(seed)
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(3, partial_rollback=True), rollback="partial"
         )
         report = executor.execute(txns, seed=seed)
@@ -102,7 +102,7 @@ class TestDeferredWrites:
     @settings(max_examples=30, deadline=None)
     def test_no_undo_ever_needed(self, seed):
         txns = _workload(seed)
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(3, anti_starvation=True), write_policy="deferred"
         )
         report = executor.execute(txns, seed=seed)
@@ -114,7 +114,7 @@ class TestDeferredWrites:
         # before its last operation.
         txns = [two_step(1, ["a"], ["b"])]
         db = Database()
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(2), database=db, write_policy="deferred"
         )
         report = executor.execute(txns)
@@ -132,7 +132,7 @@ class TestCompositeExecution:
         txns = [log.transactions[t] for t in sorted(log.txn_ids)]
         star = MTkStarScheduler(3)
         assert not star.accepts(log)
-        executor = TransactionExecutor(MTkStarScheduler(3), max_attempts=5)
+        executor = PipelineExecutor(MTkStarScheduler(3), max_attempts=5)
         report = executor.execute(txns, schedule=log)
         assert report.restarts >= 1
         assert report.committed == {1, 2, 3}
@@ -142,6 +142,6 @@ class TestCompositeExecution:
     @settings(max_examples=20, deadline=None)
     def test_composite_execution_serializable(self, seed):
         txns = _workload(seed, num_txns=5)
-        executor = TransactionExecutor(MTkStarScheduler(3), max_attempts=4)
+        executor = PipelineExecutor(MTkStarScheduler(3), max_attempts=4)
         report = executor.execute(txns, seed=seed)
         assert report.is_serializable()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.distributed import DMTkScheduler
 from repro.core.mtk import MTkScheduler
-from repro.engine.executor import TransactionExecutor
+from repro.engine.pipeline import PipelineExecutor
 from repro.model.generator import WorkloadSpec, generate_transactions
 from repro.model.log import Log
 from repro.model.operations import two_step
@@ -26,7 +26,7 @@ class TestPartialRollbackFallback:
         t3 = two_step(3, ["q"], ["z"])
         schedule = Log.parse("R3[q] R1[z] R2[x] W3[z] W2[w] W1[x]")
         scheduler = MTkScheduler(2, partial_rollback=True)
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             scheduler, rollback="partial", max_attempts=6
         )
         report = executor.execute([t1, t2, t3], schedule=schedule)
@@ -38,7 +38,7 @@ class TestPartialRollbackFallback:
     def test_partial_mode_never_worse_than_serializable(self, seed):
         spec = WorkloadSpec(num_txns=6, ops_per_txn=5, num_items=6)
         txns = generate_transactions(spec, random.Random(seed))
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(3, partial_rollback=True),
             rollback="partial",
             max_attempts=8,
@@ -54,7 +54,7 @@ class TestCombinations:
         """Both VI-C schemes together stay serializable and undo-free."""
         spec = WorkloadSpec(num_txns=5, ops_per_txn=3, num_items=6)
         txns = generate_transactions(spec, random.Random(seed))
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(3, partial_rollback=True),
             rollback="partial",
             write_policy="deferred",
@@ -71,7 +71,7 @@ class TestCombinations:
         spec = WorkloadSpec(num_txns=5, ops_per_txn=3, num_items=6)
         txns = generate_transactions(spec, random.Random(seed))
         scheduler = DMTkScheduler(3, num_sites=3)
-        executor = TransactionExecutor(scheduler, max_attempts=8)
+        executor = PipelineExecutor(scheduler, max_attempts=8)
         report = executor.execute(txns, seed=seed)
         assert report.is_serializable()
         assert scheduler.locks.is_idle()
@@ -84,7 +84,7 @@ class TestCombinations:
         from repro.storage.database import Database
 
         db = Database()
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(2, thomas_write_rule=True), database=db
         )
         report = executor.execute([t1, t3], schedule=schedule)
@@ -101,7 +101,7 @@ class TestMaxAttemptsExhaustion:
         counted as re-executed and undone."""
         log = Log.parse("W1[x] W2[x] R3[y] W3[x]")
         txns = [log.transactions[t] for t in sorted(log.txn_ids)]
-        executor = TransactionExecutor(MTkScheduler(2), max_attempts=3)
+        executor = PipelineExecutor(MTkScheduler(2), max_attempts=3)
         report = executor.execute(txns, schedule=log)
         assert report.failed
         assert executor.stats["failures"] == len(report.failed)
@@ -118,7 +118,7 @@ class TestMaxAttemptsExhaustion:
         txns = [log.transactions[t] for t in sorted(log.txn_ids)]
         committed_by_budget = [
             len(
-                TransactionExecutor(MTkScheduler(2), max_attempts=budget)
+                PipelineExecutor(MTkScheduler(2), max_attempts=budget)
                 .execute(txns, schedule=log)
                 .committed
             )
@@ -133,7 +133,7 @@ class TestMaxAttemptsExhaustion:
         spec = WorkloadSpec(num_txns=5, ops_per_txn=3, num_items=3)
         txns = generate_transactions(spec, random.Random(seed))
         max_attempts = 3
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(2), max_attempts=max_attempts
         )
         report = executor.execute(txns, seed=seed)
@@ -148,7 +148,7 @@ class TestRestartAccounting:
         rolled-back (re-executed) work; undo_ops mirrors undo_count."""
         spec = WorkloadSpec(num_txns=8, ops_per_txn=4, num_items=4)
         txns = generate_transactions(spec, random.Random(seed))
-        executor = TransactionExecutor(MTkScheduler(2), max_attempts=4)
+        executor = PipelineExecutor(MTkScheduler(2), max_attempts=4)
         report = executor.execute(txns, seed=seed)
         assert len(report.committed_ops) == (
             report.ops_executed - report.ops_reexecuted
@@ -163,7 +163,7 @@ class TestRestartAccounting:
         point has written nothing, so undo_count must stay zero."""
         log = Log.parse("W1[x] W2[x] R3[y] W3[x]")
         txns = [log.transactions[t] for t in sorted(log.txn_ids)]
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(2), write_policy="deferred", max_attempts=2
         )
         report = executor.execute(txns, schedule=log)
@@ -182,7 +182,7 @@ class TestPartialPlusDeferred:
         from repro.storage.database import Database
 
         db = Database()
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(2, partial_rollback=True),
             database=db,
             rollback="partial",
@@ -200,7 +200,7 @@ class TestPartialPlusDeferred:
     def test_partial_deferred_accounting_closes(self, seed):
         spec = WorkloadSpec(num_txns=6, ops_per_txn=4, num_items=5)
         txns = generate_transactions(spec, random.Random(seed))
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(3, partial_rollback=True),
             rollback="partial",
             write_policy="deferred",
@@ -221,7 +221,7 @@ class TestBookkeeping:
         from repro.storage.database import Database
 
         db = Database()
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(2), database=db, max_attempts=1
         )
         report = executor.execute(txns, schedule=log)
@@ -232,7 +232,7 @@ class TestBookkeeping:
     def test_report_partitions_transactions(self):
         spec = WorkloadSpec(num_txns=6, ops_per_txn=3, num_items=4)
         txns = generate_transactions(spec, random.Random(3))
-        executor = TransactionExecutor(MTkScheduler(2), max_attempts=2)
+        executor = PipelineExecutor(MTkScheduler(2), max_attempts=2)
         report = executor.execute(txns, seed=3)
         ids = {t.txn_id for t in txns}
         assert report.committed | report.failed == ids

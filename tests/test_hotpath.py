@@ -24,7 +24,7 @@ from repro.core.timestamp import (
     UNDEFINED,
     compare,
 )
-from repro.engine.executor import TransactionExecutor
+from repro.engine.pipeline import PipelineExecutor
 from repro.model.generator import WorkloadSpec, generate_transactions
 
 
@@ -240,7 +240,7 @@ def _decision_trace(anti_starvation: bool, seed: int):
         return decision
 
     scheduler.process = recording_process
-    executor = TransactionExecutor(scheduler, max_attempts=6)
+    executor = PipelineExecutor(scheduler, max_attempts=6)
     report = executor.execute(transactions, seed=seed)
     summary = (
         sorted(report.committed),
@@ -344,7 +344,7 @@ class TestZeroCostTracing:
         )
         transactions = generate_transactions(spec, random.Random(3))
         scheduler = MTkScheduler(3, anti_starvation=True)
-        executor = TransactionExecutor(scheduler, max_attempts=6)
+        executor = PipelineExecutor(scheduler, max_attempts=6)
         scheduler.events.disable()
         executor.events.disable()
         calls = {"n": 0}
@@ -367,6 +367,6 @@ class TestZeroCostTracing:
         )
         transactions = generate_transactions(spec, random.Random(1))
         scheduler = MTkScheduler(3)
-        executor = TransactionExecutor(scheduler)
+        executor = PipelineExecutor(scheduler)
         executor.execute(transactions, seed=1)
         assert scheduler.events.emitted > 0

@@ -10,7 +10,7 @@ from repro.core.composite import MTkStarScheduler
 from repro.core.distributed import DMTkScheduler
 from repro.core.mtk import MTkScheduler
 from repro.core.nested import NestedScheduler
-from repro.engine.executor import TransactionExecutor
+from repro.engine.pipeline import PipelineExecutor
 from repro.engine.interval import IntervalScheduler
 from repro.engine.optimistic import OptimisticScheduler
 from repro.engine.to_scheduler import ConventionalTOScheduler
@@ -60,7 +60,7 @@ class TestExecutorAcrossSchedulers:
     def test_all_presets_execute_serializably(self, preset_name):
         spec = preset(preset_name)
         txns = generate_transactions(spec, random.Random(11))
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             MTkScheduler(3, anti_starvation=True), max_attempts=8
         )
         report = executor.execute(txns, seed=11)
@@ -76,7 +76,7 @@ class TestExecutorAcrossSchedulers:
         txns = generate_transactions(spec, random.Random(5))
         scheduler = MTkScheduler(3, anti_starvation=True)
         db = Database()
-        executor = TransactionExecutor(scheduler, database=db, max_attempts=8)
+        executor = PipelineExecutor(scheduler, database=db, max_attempts=8)
         report = executor.execute(txns, seed=5)
         assert report.is_serializable()
 
@@ -136,7 +136,7 @@ class TestOptimisticDeferredIntegration:
     def test_optimistic_executor_is_serializable(self, seed):
         spec = WorkloadSpec(num_txns=6, ops_per_txn=3, num_items=8)
         txns = generate_transactions(spec, random.Random(seed))
-        executor = TransactionExecutor(
+        executor = PipelineExecutor(
             OptimisticScheduler(), write_policy="deferred", max_attempts=8
         )
         report = executor.execute(txns, seed=seed)

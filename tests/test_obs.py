@@ -12,7 +12,7 @@ import pytest
 from repro.core.composite import MTkStarScheduler
 from repro.core.mtk import MTkScheduler
 from repro.core.protocol import DecisionStatus
-from repro.engine.executor import TransactionExecutor
+from repro.engine.pipeline import PipelineExecutor
 from repro.engine.to_scheduler import ConventionalTOScheduler
 from repro.engine.two_pl_scheduler import StrictTwoPLScheduler
 from repro.model.generator import (
@@ -207,7 +207,7 @@ class TestConservationProperties:
             import random
 
             transactions = generate_transactions(spec, random.Random(seed))
-            executor = TransactionExecutor(MTkScheduler(3), max_attempts=6)
+            executor = PipelineExecutor(MTkScheduler(3), max_attempts=6)
             report = executor.execute(transactions, seed=seed)
             assert executor.stats["undo_ops"] == report.undo_count
             assert executor.stats["restarts"] == report.restarts

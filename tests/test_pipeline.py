@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mtk import MTkScheduler
-from repro.engine.executor import TransactionExecutor
 from repro.engine.pipeline import (
     AdmissionQueue,
     CappedBackoff,
@@ -52,35 +51,33 @@ def _report_tuple(report):
 
 
 class TestLegacyParity:
-    """TransactionExecutor (the thin subclass) must be bit-for-bit the
-    monolithic executor it replaced, and the n_shards=1 service must be
-    bit-for-bit the TransactionExecutor."""
+    """The default executor takes the plain fast lane, and the
+    ``n_shards=1`` service must be bit-for-bit a bare
+    ``PipelineExecutor(MTkScheduler(2))``."""
 
     @given(st.integers(min_value=0, max_value=40))
     @settings(max_examples=40, deadline=None)
     def test_service_one_shard_equals_legacy(self, seed):
         txns = _workload(seed)
-        legacy = TransactionExecutor(MTkScheduler(2)).execute(txns, seed=seed)
+        bare = PipelineExecutor(MTkScheduler(2)).execute(txns, seed=seed)
         service = TransactionService(k=2, n_shards=1)
         service.submit_programs(txns)
         report = service.run(seed=seed)
-        assert _report_tuple(report) == _report_tuple(legacy)
+        assert _report_tuple(report) == _report_tuple(bare)
 
-    def test_executor_is_pipeline_subclass_with_plain_queue(self):
-        executor = TransactionExecutor(MTkScheduler(2))
-        assert isinstance(executor, PipelineExecutor)
-        assert executor._admission.is_plain
+    def test_default_queue_is_plain(self):
+        assert PipelineExecutor(MTkScheduler(2))._admission.is_plain
 
     @given(st.integers(min_value=0, max_value=20))
     @settings(max_examples=20, deadline=None)
     def test_explicit_immediate_policy_changes_nothing(self, seed):
-        """Naming the legacy policy explicitly keeps the fast lane."""
+        """Naming the default policy explicitly keeps the fast lane."""
         txns = _workload(seed)
-        legacy = TransactionExecutor(MTkScheduler(2)).execute(txns, seed=seed)
+        bare = PipelineExecutor(MTkScheduler(2)).execute(txns, seed=seed)
         piped = PipelineExecutor(
             MTkScheduler(2), retry_policy="immediate"
         ).execute(txns, seed=seed)
-        assert _report_tuple(piped) == _report_tuple(legacy)
+        assert _report_tuple(piped) == _report_tuple(bare)
 
 
 class TestDeterminism:

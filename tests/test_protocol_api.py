@@ -7,10 +7,12 @@ from repro.core.protocol import (
     Decision,
     DecisionStatus,
     RunResult,
+    Scheduler,
     acceptance_count,
 )
+from repro.engine.pipeline import PipelineExecutor
 from repro.model.log import Log
-from repro.model.operations import read, write
+from repro.model.operations import OpKind, read, write
 
 
 class TestDecision:
@@ -77,9 +79,67 @@ class TestAcceptanceCount:
 
 class TestRunResultProjection:
     def test_committed_log_excludes_aborted(self, starvation_log):
-        from repro.engine.executor import ExecutionReport
+        from repro.engine.pipeline import ExecutionReport
 
         report = ExecutionReport()
         report.committed = {1}
         report.committed_ops = [write(1, "x"), write(2, "x")]
         assert str(report.committed_log) == "W1[x]"
+
+
+class FirstWriteBounces(Scheduler):
+    """Defines only ``_process`` / ``reset``: every transaction's first
+    write is rejected once, everything else is accepted."""
+
+    name = "first-write-bounces"
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.bounced: set[int] = set()
+
+    def _process(self, op):
+        if op.kind is OpKind.WRITE and op.txn not in self.bounced:
+            self.bounced.add(op.txn)
+            return Decision(DecisionStatus.REJECT, op, "first write")
+        return Decision(DecisionStatus.ACCEPT, op)
+
+
+LIFECYCLE = (
+    "plan_transactions",
+    "restart",
+    "cascade_restart",
+    "prune_aborted",
+    "validate_commit",
+    "commit",
+    "commit_dependencies",
+    "readers_of",
+)
+
+
+class TestLifecycleDefaults:
+    def test_minimal_scheduler_inherits_every_default(self):
+        scheduler = FirstWriteBounces()
+        for verb in LIFECYCLE:
+            assert getattr(FirstWriteBounces, verb) is getattr(Scheduler, verb)
+        assert scheduler.aborted == frozenset()
+        assert scheduler.partial_ok == frozenset()
+        assert scheduler.failed is False
+        assert scheduler.validate_commit(1) is True
+        assert scheduler.prune_aborted(1) == 0
+        assert scheduler.commit_dependencies(1) == frozenset()
+        assert scheduler.readers_of(1) == frozenset()
+
+    @pytest.mark.parametrize("write_policy", ["immediate", "deferred"])
+    def test_minimal_scheduler_runs_through_the_executor(self, write_policy):
+        log = Log.parse("R1[x] W1[x] W2[y] R3[x] R2[x]")
+        report = PipelineExecutor(
+            FirstWriteBounces(), write_policy=write_policy
+        ).execute(list(log.transactions.values()), schedule=log)
+        assert report.committed == {1, 2, 3}
+        assert report.failed == set()
+        assert report.restarts == 2  # T1 and T2 bounce once each
+        assert sorted(map(str, report.committed_log)) == sorted(
+            map(str, log)
+        )

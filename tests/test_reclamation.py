@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.mtk import MTkScheduler
 from repro.core.table import TimestampTable
-from repro.engine.executor import TransactionExecutor
+from repro.engine.pipeline import PipelineExecutor
 from repro.model.generator import WorkloadSpec, generate_transactions
 from repro.model.log import Log
 from repro.model.operations import read, write
@@ -65,7 +65,7 @@ class TestReclaim:
         spec = WorkloadSpec(num_txns=9, ops_per_txn=3, num_items=10)
         txns = generate_transactions(spec, random.Random(seed))
         scheduler = MTkScheduler(3, anti_starvation=True)
-        executor = TransactionExecutor(scheduler, max_attempts=8)
+        executor = PipelineExecutor(scheduler, max_attempts=8)
         report = executor.execute(txns, seed=seed)
         assert report.is_serializable()
         before = scheduler.table_size
