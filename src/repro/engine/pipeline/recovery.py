@@ -24,8 +24,9 @@ killed and restarted mid-run:
    record present ⇒ commit, absent ⇒ abort: the presumed-abort rule
    makes the torn-commit-record case safe).  A node that aborts a
    tentatively-applied window rebuilds its engines by replaying the
-   committed prefix — state rolls back *exactly* to the fault-free
-   prefix.
+   committed prefix from its own log — state rolls back *exactly* to
+   the fault-free prefix.  The log is the one copy of a committed
+   payload: a node's memory holds only its undecided windows.
 
 Because aborted windows are retried deterministically (watermarks only
 advance on commit, so a replanned attempt ships byte-identical
@@ -77,10 +78,15 @@ class DataNode:
     ``{"type": "decision", "window": w, "verdict": "commit"|"abort"}``
         the coordinator's outcome, logged before acking.
 
-    Recovery replays the log: engines are rebuilt by re-applying the
-    payloads of committed windows in window order; undecided prepared
-    windows are reported to the coordinator via ``undecided`` and
-    resolved by pushed ``decide`` messages (commit ⇒ apply now)."""
+    Memory holds the undecided windows only: a payload (and its vote
+    and applied mark) stays from ``prepare`` to ``decide`` and then
+    goes, so a node's state is O(windows in flight), not O(run).  The
+    log is the one copy of a committed payload.  Rebuilding the
+    engines — restart, or rolling back a tentatively applied window —
+    replays the committed prefix from the log in window order;
+    undecided prepared windows are reported to the coordinator via
+    ``undecided`` and resolved by pushed ``decide`` messages (commit ⇒
+    apply now)."""
 
     def __init__(
         self,
@@ -95,8 +101,9 @@ class DataNode:
         self._config = tuple(config)
         self._plan = fault_plan if fault_plan is not None else FaultPlan()
         self._log = DurableLog(log_path)
+        # Undecided windows only: payload, vote, and whether the
+        # current engines have it applied.
         self._prepared: dict[int, tuple] = {}
-        self._decisions: dict[int, str] = {}
         self._votes: dict[int, tuple] = {}
         self._applied: set[int] = set()
         self._host: _WorkerHost | None = None
@@ -105,39 +112,38 @@ class DataNode:
     # ------------------------------------------------------------------
     def recover(self) -> None:
         """Restart entry point: truncate any torn tail, then redo."""
-        records = self._log.repair()
-        self._prepared.clear()
-        self._decisions.clear()
         self._votes.clear()
+        self._rebuild(self._log.repair())
+
+    def _rebuild(self, records: Sequence[dict]) -> None:
+        """Rebuild engines from scratch by replaying the committed
+        prefix of ``records`` (this node's log) in window order — both
+        crash recovery and tentative-window rollback.  The undecided
+        windows come back as payloads, none of them applied."""
+        prepared: dict[int, Any] = {}
+        verdicts: dict[int, str] = {}
         for record in records:
             kind = record["type"]
             if kind == "begin":
-                self._prepared.clear()
-                self._decisions.clear()
+                prepared.clear()
+                verdicts.clear()
             elif kind == "prepared":
-                self._prepared[record["window"]] = retuple(
-                    record["payload"]
-                )
+                prepared[record["window"]] = record["payload"]
             elif kind == "decision":
-                self._decisions[record["window"]] = record["verdict"]
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Rebuild engines from scratch by replaying the committed
-        prefix — both crash recovery and tentative-window rollback."""
+                verdicts[record["window"]] = record["verdict"]
         self._host = _WorkerHost(self._shard_ids, self._config)
-        self._applied = set()
-        for window in sorted(self._prepared):
-            if self._decisions.get(window) == "commit":
-                self._host.handle(self._prepared[window])
-                self._applied.add(window)
+        self._applied.clear()
+        for window in sorted(prepared):
+            if verdicts.get(window) == "commit":
+                self._host.handle(retuple(prepared[window]))
+        self._prepared = {
+            window: retuple(payload)
+            for window, payload in prepared.items()
+            if window not in verdicts
+        }
 
     def undecided(self) -> list[int]:
-        return sorted(
-            window
-            for window in self._prepared
-            if window not in self._decisions
-        )
+        return sorted(self._prepared)
 
     # ------------------------------------------------------------------
     def handle(self, message: tuple) -> tuple:
@@ -165,24 +171,25 @@ class DataNode:
             _kind, window, verdict = message
             if self._plan.crash_at(self.node_id, window, PRE_COMMIT):
                 raise NodeCrash(PRE_COMMIT, window)
-            if self._decisions.get(window) == verdict:
-                return ("ack", window)  # duplicate decision: idempotent
+            payload = self._prepared.pop(window, None)
+            if payload is None:
+                # No longer pending: a duplicate decision, idempotent.
+                return ("ack", window)
             self._log.append(
                 {"type": "decision", "window": window, "verdict": verdict}
             )
-            self._decisions[window] = verdict
             # A duplicate prepare is on the wire back-to-back with the
             # original, before any vote is read — once the decision is
             # logged no copy can still arrive, so the vote is dead weight.
             self._votes.pop(window, None)
-            if verdict == "abort":
-                if window in self._applied:
+            if window in self._applied:
+                self._applied.discard(window)
+                if verdict == "abort":
                     # Tentatively applied: roll back to committed prefix.
-                    self._rebuild()
-            elif window in self._prepared and window not in self._applied:
+                    self._rebuild(self._log.replay())
+            elif verdict == "commit":
                 # Commit resolved after a restart: redo the payload now.
-                self._host.handle(self._prepared[window])
-                self._applied.add(window)
+                self._host.handle(payload)
             return ("ack", window)
         if kind == "undecided":
             return ("undecided-reply", tuple(self.undecided()))
@@ -190,9 +197,9 @@ class DataNode:
             self._log.truncate()
             self._log.append({"type": "begin"})
             self._prepared.clear()
-            self._decisions.clear()
             self._votes.clear()
-            self._rebuild()
+            self._applied.clear()
+            self._host = _WorkerHost(self._shard_ids, self._config)
             return ("ready",)
         raise ValueError(f"unknown message kind {kind!r}")
 

@@ -118,9 +118,9 @@ def baseline(txns, log, *, n_shards=4, window=4):
 _INVOLVEMENT_CACHE: dict[tuple, dict[int, list[int]]] = {}
 
 
-def involvement(seed, *, n_shards=4, nodes=2, window=4):
+def involvement(seed, *, n_shards=4, nodes=2, window=4, num_txns=12):
     """``{node: [2PC window ids it participates in]}`` from a no-fault
-    loopback run of ``make_workload(seed)``.
+    loopback run of ``make_workload(seed, num_txns)``.
 
     Which nodes a window ships to depends on the row-conflict cut, so
     fault targets must be *discovered*, not hardcoded — a fault aimed
@@ -128,7 +128,7 @@ def involvement(seed, *, n_shards=4, nodes=2, window=4):
     vacuously green.  Window numbering is deterministic and identical
     across transports, so loopback-probed targets are valid for TCP
     runs too (single non-aborting faults never shift later ids)."""
-    key = (seed, n_shards, nodes, window)
+    key = (seed, n_shards, nodes, window, num_txns)
     if key in _INVOLVEMENT_CACHE:
         return _INVOLVEMENT_CACHE[key]
     from repro.engine.pipeline import recovery as _recovery
@@ -143,7 +143,7 @@ def involvement(seed, *, n_shards=4, nodes=2, window=4):
 
     _recovery.RecoverableShardSet._prepare_round = spy
     try:
-        txns, log = make_workload(seed)
+        txns, log = make_workload(seed, num_txns=num_txns)
         run_recoverable(
             txns, log, n_shards=n_shards, nodes=nodes, window=window
         )
@@ -455,9 +455,11 @@ class TestLoopbackEquivalence:
 # Scripted faults (loopback; the unmarked reduced sweep)
 # ----------------------------------------------------------------------
 class TestScriptedFaults:
-    def check_plan(self, plan, *, seed=1, expect_consumed=True, **kwargs):
+    def check_plan(
+        self, plan, *, seed=1, num_txns=12, expect_consumed=True, **kwargs
+    ):
         """Fault run must bit-equal the fault-free run and stay DSR."""
-        txns, log = make_workload(seed)
+        txns, log = make_workload(seed, num_txns=num_txns)
         base = baseline(txns, log, **kwargs)
         got, snap = run_recoverable(txns, log, fault_plan=plan, **kwargs)
         assert report_tuple(got) == report_tuple(base)
@@ -530,6 +532,75 @@ class TestScriptedFaults:
         assert len(decided) > len(windows)  # both nodes, every window
         assert set(decided) == {0}
         assert max(votes for _kind, votes in held) == 1
+
+    def test_node_state_is_bounded_by_undecided_windows(self, monkeypatch):
+        """A node kept every window's payload, verdict and applied mark
+        for the whole run; its log already holds them, so once a
+        window is decided nothing in memory names it any more, and
+        what a node holds does not grow with the number of windows."""
+        from repro.engine.pipeline.recovery import DataNode
+
+        def containers(node):
+            return [
+                value
+                for value in vars(node).values()
+                if isinstance(value, (dict, set))
+            ]
+
+        held = []
+        handle = DataNode.handle
+
+        def spy(node, message):
+            reply = handle(node, message)
+            if message[0] == "decide":
+                window = message[1]
+                for value in containers(node):
+                    assert window not in value, (window, value)
+            held.append(sum(len(value) for value in containers(node)))
+            return reply
+
+        monkeypatch.setattr(DataNode, "handle", spy)
+        txns, log = make_workload(1, num_txns=120)
+        base = baseline(txns, log)
+        got, snap = run_recoverable(txns, log)
+        assert report_tuple(got) == report_tuple(base)
+        assert snap["parallel"]["ipc"]["rounds"] > 500
+        prefix = held[: len(held) // 10]
+        assert max(held) == max(prefix), (max(prefix), max(held))
+
+    def test_rollback_and_redo_replay_the_log(self, monkeypatch):
+        """Faults late in a long run: a dropped vote rolls the other
+        node's tentatively applied window back and restarts node 0, a
+        pre-commit crash makes node 1 redo a commit after restart.  Each
+        rebuild replays a long committed prefix from the node's log,
+        and the run still bit-equals the fault-free one."""
+        inv = involvement(1, num_txns=120)
+        last = inv[0][-1]
+        assert last in inv[1]  # node 1 holds a tentative copy to undo
+        late = max(window for window in inv[1] if window < last)
+        plan = FaultPlan(
+            [
+                Fault("crash", late, node=1, phase=PRE_COMMIT),
+                Fault("drop", last, node=0, phase="vote"),
+            ]
+        )
+        lengths = []
+        replay = DurableLog.replay
+
+        def spy(log):
+            records = replay(log)
+            lengths.append(len(records))
+            return records
+
+        monkeypatch.setattr(DurableLog, "replay", spy)
+        _got, snap = self.check_plan(plan, num_txns=120)
+        ipc = snap["parallel"]["ipc"]
+        assert ipc["window_aborts"] >= 1
+        assert ipc["resolved_windows"] >= 2
+        # Node 1's restart, node 1's rollback and node 0's restart each
+        # read two records for every window the node committed.
+        long = [length for length in lengths if length > len(inv[0])]
+        assert len(long) == 3, lengths
 
     def test_torn_wal_presumes_abort_and_retries(self):
         plan = FaultPlan([Fault("torn-wal", 0)])
