@@ -2,73 +2,50 @@
 
 A complete reproduction of Leu & Bhargava, "Multidimensional Timestamp
 Protocols for Concurrency Control" (ICDE 1986 / Purdue CSD-TR-521).
+
+Every exported name is loaded on first access (:mod:`repro._lazy`):
+``from repro import TransactionService`` compiles the pipeline, not the
+class census or the baselines.
 """
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-from .model import Log, Operation, OpKind, Transaction, read, write, two_step
-from .core import (
-    Decision,
-    DecisionStatus,
-    MTkScheduler,
-    Ordering,
-    Scheduler,
-    TimestampVector,
-    UNDEFINED,
-    compare,
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    (
+        ".model",
+        ("Log", "Operation", "OpKind", "Transaction", "read", "write", "two_step"),
+    ),
+    (
+        ".core",
+        (
+            "Decision",
+            "DecisionStatus",
+            "MTkScheduler",
+            "Ordering",
+            "Scheduler",
+            "TimestampVector",
+            "UNDEFINED",
+            "compare",
+            "MTkStarScheduler",
+            "NestedScheduler",
+            "HierarchicalScheduler",
+            "DMTkScheduler",
+        ),
+    ),
+    (".classes", ("classify", "region_of", "census")),
+    (
+        ".engine",
+        (
+            "ConventionalTOScheduler",
+            "StrictTwoPLScheduler",
+            "OptimisticScheduler",
+            "IntervalScheduler",
+        ),
+    ),
+    (".core", ("MVMTkScheduler",)),
+    (".engine", ("PipelineExecutor", "Session", "TransactionService")),
 )
-
-__all__ = [
-    "__version__",
-    "Log",
-    "Operation",
-    "OpKind",
-    "Transaction",
-    "read",
-    "write",
-    "two_step",
-    "Decision",
-    "DecisionStatus",
-    "MTkScheduler",
-    "Ordering",
-    "Scheduler",
-    "TimestampVector",
-    "UNDEFINED",
-    "compare",
-]
-
-from .core import (
-    DMTkScheduler,
-    HierarchicalScheduler,
-    MTkStarScheduler,
-    NestedScheduler,
-)
-from .classes import classify, region_of, census
-from .engine import (
-    ConventionalTOScheduler,
-    IntervalScheduler,
-    OptimisticScheduler,
-    StrictTwoPLScheduler,
-)
-
-__all__ += [
-    "MTkStarScheduler",
-    "NestedScheduler",
-    "HierarchicalScheduler",
-    "DMTkScheduler",
-    "classify",
-    "region_of",
-    "census",
-    "ConventionalTOScheduler",
-    "StrictTwoPLScheduler",
-    "OptimisticScheduler",
-    "IntervalScheduler",
-]
-
-from .core import MVMTkScheduler
-
-__all__ += ["MVMTkScheduler"]
-
-from .engine import PipelineExecutor, Session, TransactionService
-
-__all__ += ["PipelineExecutor", "Session", "TransactionService"]
+__all__.insert(0, "__version__")

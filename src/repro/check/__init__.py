@@ -16,30 +16,16 @@ Four parts (the ISSUE-3 tentpole):
 * :mod:`repro.check.shrink` — delta-debugging (ddmin) counterexample
   reduction used by the fuzzer.
 
-Submodules are imported lazily: lower layers (``classes.membership``,
+Submodules are imported lazily (:mod:`repro._lazy`): lower layers (``classes.membership``,
 ``analysis.certificate``) delegate *into* :mod:`repro.check.oracle`, and
 the enumerator/fuzzer import those layers back — eager package imports
 here would close that cycle before the lower modules finish loading.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-import importlib
-from typing import Any
-
-_SUBMODULES = ("oracle", "enumerate", "fuzz", "shrink")
-
-__all__ = list(_SUBMODULES) + [
-    "SerializabilityOracle",
-    "Verdict",
-    "ViewSerializabilityUnknown",
-]
-
-
-def __getattr__(name: str) -> Any:
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    if name in ("SerializabilityOracle", "Verdict", "ViewSerializabilityUnknown"):
-        module = importlib.import_module(".oracle", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    (".oracle", ("SerializabilityOracle", "Verdict", "ViewSerializabilityUnknown")),
+)
+__all__[:0] = ("oracle", "enumerate", "fuzz", "shrink")

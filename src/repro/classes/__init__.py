@@ -1,63 +1,51 @@
-"""Serializability class membership (Definitions 2-5, Fig. 4)."""
+"""Serializability class membership (Definitions 2-5, Fig. 4).
 
-from .membership import (
-    INITIAL,
-    Verdict,
-    ViewSerializabilityUnknown,
-    dsr_order,
-    final_writers,
-    is_dsr,
-    is_ssr,
-    is_view_equivalent,
-    is_view_serializable,
-    precedence_pairs,
-    reads_from,
-    view_serializability,
-)
-from .two_pl import is_two_pl
-from .to import (
-    first_positions,
-    is_to1_declarative,
-    is_tok,
-    saturation_dimension,
-    to_memberships,
-)
-from .hierarchy import (
-    REGION_NAMES,
-    CensusResult,
-    ClassMembership,
-    InconsistentMembership,
-    canonical_logs,
-    census,
-    classify,
-    region_of,
-)
+Names load on first access (:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "INITIAL",
-    "is_dsr",
-    "dsr_order",
-    "is_ssr",
-    "precedence_pairs",
-    "reads_from",
-    "final_writers",
-    "is_view_equivalent",
-    "is_view_serializable",
-    "view_serializability",
-    "Verdict",
-    "ViewSerializabilityUnknown",
-    "is_two_pl",
-    "is_tok",
-    "to_memberships",
-    "is_to1_declarative",
-    "first_positions",
-    "saturation_dimension",
-    "ClassMembership",
-    "CensusResult",
-    "InconsistentMembership",
-    "REGION_NAMES",
-    "canonical_logs",
-    "census",
-    "classify",
-    "region_of",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    (
+        ".membership",
+        (
+            "INITIAL",
+            "is_dsr",
+            "dsr_order",
+            "is_ssr",
+            "precedence_pairs",
+            "reads_from",
+            "final_writers",
+            "is_view_equivalent",
+            "is_view_serializable",
+            "view_serializability",
+            "Verdict",
+            "ViewSerializabilityUnknown",
+        ),
+    ),
+    (".two_pl", ("is_two_pl",)),
+    (
+        ".to",
+        (
+            "is_tok",
+            "to_memberships",
+            "is_to1_declarative",
+            "first_positions",
+            "saturation_dimension",
+        ),
+    ),
+    (
+        ".hierarchy",
+        (
+            "ClassMembership",
+            "CensusResult",
+            "InconsistentMembership",
+            "REGION_NAMES",
+            "canonical_logs",
+            "census",
+            "classify",
+            "region_of",
+        ),
+    ),
+)

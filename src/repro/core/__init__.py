@@ -1,97 +1,67 @@
-"""Core protocols: MT(k), MT(k*), MT(k1,k2), DMT(k) and supporting machinery."""
+"""Core protocols: MT(k), MT(k*), MT(k1,k2), DMT(k) and supporting machinery.
 
-from .timestamp import (
-    Comparison,
-    Counters,
-    Element,
-    Ordering,
-    SiteTaggedCounters,
-    TimestampVector,
-    UNDEFINED,
-    compare,
-    is_greater,
-    is_less,
-    render_snapshot,
+Names load on first access (:mod:`repro._lazy`).
+"""
+
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    (
+        ".timestamp",
+        (
+            "Comparison",
+            "Counters",
+            "Element",
+            "Ordering",
+            "SiteTaggedCounters",
+            "TimestampVector",
+            "UNDEFINED",
+            "compare",
+            "is_greater",
+            "is_less",
+            "render_snapshot",
+        ),
+    ),
+    (
+        ".table",
+        (
+            "AccessFrequencyTracker",
+            "EncodingPolicy",
+            "NormalEncoding",
+            "OptimizedEncoding",
+            "SetOutcome",
+            "TimestampTable",
+            "VIRTUAL_TXN",
+        ),
+    ),
+    (
+        ".protocol",
+        ("Decision", "DecisionStatus", "RunResult", "Scheduler", "acceptance_count"),
+    ),
+    (".mtk", ("MTkScheduler",)),
+    (
+        ".vector_processor",
+        (
+            "ParallelResult",
+            "VectorComparator",
+            "parallel_step_bound",
+            "prefix_or_steps",
+            "sequential_step_count",
+        ),
+    ),
+    (".composite", ("MTkStarScheduler",)),
+    (
+        ".nested",
+        (
+            "GroupPath",
+            "HierarchicalScheduler",
+            "NestedScheduler",
+            "groups_by_read_write_sets",
+            "groups_by_site",
+            "single_level",
+        ),
+    ),
+    (".distributed", ("DMTkScheduler",)),
+    (".multiversion", ("MVMTkScheduler",)),
 )
-from .table import (
-    AccessFrequencyTracker,
-    EncodingPolicy,
-    NormalEncoding,
-    OptimizedEncoding,
-    SetOutcome,
-    TimestampTable,
-    VIRTUAL_TXN,
-)
-from .protocol import (
-    Decision,
-    DecisionStatus,
-    RunResult,
-    Scheduler,
-    acceptance_count,
-)
-from .mtk import MTkScheduler
-from .vector_processor import (
-    ParallelResult,
-    VectorComparator,
-    parallel_step_bound,
-    prefix_or_steps,
-    sequential_step_count,
-)
-
-__all__ = [
-    "Comparison",
-    "Counters",
-    "Element",
-    "Ordering",
-    "SiteTaggedCounters",
-    "TimestampVector",
-    "UNDEFINED",
-    "compare",
-    "is_greater",
-    "is_less",
-    "render_snapshot",
-    "AccessFrequencyTracker",
-    "EncodingPolicy",
-    "NormalEncoding",
-    "OptimizedEncoding",
-    "SetOutcome",
-    "TimestampTable",
-    "VIRTUAL_TXN",
-    "Decision",
-    "DecisionStatus",
-    "RunResult",
-    "Scheduler",
-    "acceptance_count",
-    "MTkScheduler",
-    "ParallelResult",
-    "VectorComparator",
-    "parallel_step_bound",
-    "prefix_or_steps",
-    "sequential_step_count",
-]
-
-from .composite import MTkStarScheduler
-from .nested import (
-    GroupPath,
-    HierarchicalScheduler,
-    NestedScheduler,
-    groups_by_read_write_sets,
-    groups_by_site,
-    single_level,
-)
-from .distributed import DMTkScheduler
-
-__all__ += [
-    "MTkStarScheduler",
-    "GroupPath",
-    "HierarchicalScheduler",
-    "NestedScheduler",
-    "groups_by_read_write_sets",
-    "groups_by_site",
-    "single_level",
-    "DMTkScheduler",
-]
-
-from .multiversion import MVMTkScheduler
-
-__all__ += ["MVMTkScheduler"]

@@ -38,11 +38,10 @@ remains sound (every accepted log is DSR).
 
 from __future__ import annotations
 
-import zlib
 from typing import Callable, Mapping
 
 from ..distributed.network import MsgKind, Network
-from ..model.operations import Operation
+from ..model.operations import Operation, stable_hash
 from ..storage.locks import LockManager, LockMode, LockOutcome
 from .mtk import MTkScheduler
 from .protocol import Decision
@@ -77,16 +76,6 @@ class _JoiningEncoding(NormalEncoding):
             else:
                 counters.ensure_below(ts_i.get(position))
         super().encode_semi(ts_j, ts_i, position, counters, item)
-
-
-def stable_hash(item: str) -> int:
-    """Deterministic, process-independent hash of an item name.
-
-    The builtin ``hash(str)`` is salted per interpreter
-    (``PYTHONHASHSEED``): item placement built on it — and with it every
-    message count — would change from run to run.  ``zlib.crc32`` is a
-    pure function of the name."""
-    return zlib.crc32(item.encode("utf-8"))
 
 
 class DMTkScheduler(MTkScheduler):

@@ -310,6 +310,7 @@ class MTkScheduler(Instrumented, Scheduler):
         self.aborted.add(i)
         if preserve:
             self.partial_ok.add(i)
+            self._pend_preserved_reads(i)
         else:
             self._undo_indices(i)
         if self.events.enabled:
@@ -326,6 +327,28 @@ class MTkScheduler(Instrumented, Scheduler):
             op,
             f"TS({blocking}) > TS({i})",
         )
+
+    def _pend_preserved_reads(self, i: int) -> None:
+        """Keep a preserved transaction's reads bounding their items.
+
+        The re-seed moves ``TS(i)`` past the blocker, so a read of ``x``
+        that ``RT(x)`` no longer names may now sit above ``RT(x)``, and
+        a later write ordered after ``RT(x)`` alone could slip below
+        ``T_i``: the next write of ``x`` must follow ``T_i`` too."""
+        readers = self._readers
+        table = self.table
+        pending = self.pending_readers
+        for item in self._touched.get(i, ()):
+            if table.rt(item) == i or i not in readers.get(item, ()):
+                continue
+            extra = pending.get(item)
+            if extra is None:
+                pending[item] = [i]
+            elif i in extra:
+                continue
+            else:
+                extra.append(i)
+            table.hold(i)
 
     def _reseed(self, i: int, blocking: int) -> None:
         """Flush ``TS(i)`` and seed element 1 past the blocker's (the

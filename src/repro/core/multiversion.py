@@ -56,20 +56,27 @@ can host it) and :class:`MVDMTkScheduler` (over DMT(k), where
 decentralized visibility shrinks the per-operation lock set to the item
 record and the issuing transaction: versions are resolved against the
 local chain, with **no** cross-shard critical section on remote
-reader/writer vectors).
+reader/writer vectors).  ``MVDMTkScheduler`` is defined in
+:mod:`repro.core.multiversion_dmt` and loads from here on first access,
+so a one-shard MVMT(k) run never compiles DMT(k), its message network
+or its lock manager.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
+from .._lazy import lazy_exports
 from ..model.operations import Operation
-from .distributed import DMTkScheduler, ObjectId
 from .mtk import MTkScheduler
 from .mvcc import ReaderCheck, VersionChain, VisibilityEngine
 from .protocol import Decision, DecisionStatus
 from .table import VIRTUAL_TXN
 from .timestamp import Ordering
+
+_, __getattr__, __dir__ = lazy_exports(
+    globals(), (".multiversion_dmt", ("MVDMTkScheduler",))
+)
 
 
 class MultiversionMixin:
@@ -551,31 +558,3 @@ class MVMTkScheduler(MultiversionMixin, MTkScheduler):
         kwargs["read_rule"] = "none"
         super().__init__(k, trace=trace, **kwargs)
         self.name = f"MVMT({k})"
-
-
-class MVDMTkScheduler(MultiversionMixin, DMTkScheduler):
-    """Decentralized multiversion MT(k): DMT(k)'s sites and message
-    accounting, but visibility is decided against the item's local chain
-    — so an operation locks only the item record and the issuing
-    transaction's vector.  The remote reader/writer vectors the
-    single-version protocol must fetch-and-lock are not needed: there is
-    no cross-shard critical section on visibility, which is the entire
-    point of decentralizing MVCC.
-    """
-
-    def __init__(self, k: int, **kwargs: Any) -> None:
-        kwargs["read_rule"] = "none"
-        num_sites = kwargs.get("num_sites", 3)
-        super().__init__(k, **kwargs)
-        self.name = f"MVDMT({k})x{num_sites}"
-
-    def _objects_for(self, op: Operation) -> list[ObjectId]:
-        """Decentralized visibility needs only the item's chain (home of
-        the item) and the issuing transaction's vector; pins on other
-        vectors are encoded through the item's home site without locking
-        the remote rows first (they are applied, not negotiated)."""
-        objects: set[ObjectId] = {
-            ("item", op.item),
-            ("vec", op.txn),
-        }
-        return sorted(objects, key=lambda o: (o[0], str(o[1])))

@@ -1,17 +1,13 @@
-"""Distributed-system substrate for DMT(k): network, clocks, lock rounds."""
+"""Distributed-system substrate for DMT(k): network, clocks, lock rounds.
 
-from .network import Message, MsgKind, Network
-from .clocks import LamportClock, SimClock
-from .simulation import LockWorkItem, SimulationResult, ordered, run_rounds
+Names load on first access (:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "Message",
-    "MsgKind",
-    "Network",
-    "LamportClock",
-    "SimClock",
-    "LockWorkItem",
-    "SimulationResult",
-    "ordered",
-    "run_rounds",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    (".network", ("Message", "MsgKind", "Network")),
+    (".clocks", ("LamportClock", "SimClock")),
+    (".simulation", ("LockWorkItem", "SimulationResult", "ordered", "run_rounds")),
+)

@@ -1,46 +1,32 @@
-"""Execution engine: executor, baseline schedulers, rollback machinery."""
+"""Execution engine: executor, baseline schedulers, rollback machinery.
 
-from ..core.protocol import (
-    Decision,
-    DecisionStatus,
-    RunResult,
-    Scheduler,
-    acceptance_count,
+Names load on first access (:mod:`repro._lazy`): the pipeline never
+compiles the 2PL/TO/OCC/interval baselines it does not run.
+"""
+
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    (
+        "..core.protocol",
+        ("Decision", "DecisionStatus", "RunResult", "Scheduler", "acceptance_count"),
+    ),
+    (
+        ".pipeline",
+        (
+            "ExecutionReport",
+            "PipelineExecutor",
+            "Session",
+            "ShardRouter",
+            "ShardSet",
+            "ShardSpec",
+            "TransactionService",
+        ),
+    ),
+    (".two_pl_scheduler", ("StrictTwoPLScheduler",)),
+    (".to_scheduler", ("ConventionalTOScheduler",)),
+    (".optimistic", ("OptimisticScheduler",)),
+    (".interval", ("Interval", "IntervalScheduler")),
+    (".adaptive", ("AdaptationEvent", "AdaptiveMTController")),
 )
-from .pipeline import (
-    ExecutionReport,
-    PipelineExecutor,
-    Session,
-    ShardRouter,
-    ShardSet,
-    ShardSpec,
-    TransactionService,
-)
-from .two_pl_scheduler import StrictTwoPLScheduler
-from .to_scheduler import ConventionalTOScheduler
-from .optimistic import OptimisticScheduler
-from .interval import Interval, IntervalScheduler
-
-__all__ = [
-    "Decision",
-    "DecisionStatus",
-    "RunResult",
-    "Scheduler",
-    "acceptance_count",
-    "ExecutionReport",
-    "PipelineExecutor",
-    "Session",
-    "ShardRouter",
-    "ShardSet",
-    "ShardSpec",
-    "TransactionService",
-    "StrictTwoPLScheduler",
-    "ConventionalTOScheduler",
-    "OptimisticScheduler",
-    "Interval",
-    "IntervalScheduler",
-]
-
-from .adaptive import AdaptationEvent, AdaptiveMTController
-
-__all__ += ["AdaptationEvent", "AdaptiveMTController"]

@@ -8,68 +8,46 @@ Stage map (one dispatched operation, left to right)::
                   └─> MT(k)/DMT(k) scheduler           partitioned,
                         └─> StorageBackend + UndoLog   cross-shard DSR
 
-:class:`PipelineExecutor` (service.py) drives the stages.
+:class:`PipelineExecutor` (service.py) drives the stages.  Names load on
+first access (:mod:`repro._lazy`), so a one-shard run never compiles the
+windowed plane (parallel.py) or the 2PC data nodes (recovery.py,
+transport.py).
 """
 
-from .admission import (
-    AdmissionQueue,
-    CappedBackoff,
-    GlobalRestart,
-    ImmediateRetry,
-    POLICIES,
-    RetryPolicy,
-    resolve_policy,
-)
-from .faults import Fault, FaultPlan, NodeCrash, random_plan
-from .parallel import (
-    DEFAULT_WINDOW,
-    ParallelExecutionError,
-    ParallelShardSet,
-    ShardEngine,
-)
-from .recovery import DataNode, RecoverableShardSet
-from .report import ExecutionReport
-from .transport import (
-    LoopbackTransport,
-    NodeFailure,
-    TcpTransport,
-    default_start_method,
-)
-from .router import ShardRouter, stable_hash
-from .service import PipelineExecutor
-from .sessions import Session, SessionError, TransactionService
-from .shard import Shard, ShardSet, ShardSpec
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "CappedBackoff",
-    "DataNode",
-    "DEFAULT_WINDOW",
-    "default_start_method",
-    "ExecutionReport",
-    "Fault",
-    "FaultPlan",
-    "GlobalRestart",
-    "ImmediateRetry",
-    "LoopbackTransport",
-    "NodeCrash",
-    "NodeFailure",
-    "ParallelExecutionError",
-    "ParallelShardSet",
-    "random_plan",
-    "RecoverableShardSet",
-    "TcpTransport",
-    "PipelineExecutor",
-    "POLICIES",
-    "RetryPolicy",
-    "resolve_policy",
-    "Session",
-    "SessionError",
-    "Shard",
-    "ShardEngine",
-    "ShardRouter",
-    "ShardSet",
-    "ShardSpec",
-    "stable_hash",
-    "TransactionService",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    (
+        ".admission",
+        (
+            "AdmissionQueue",
+            "CappedBackoff",
+            "GlobalRestart",
+            "ImmediateRetry",
+            "POLICIES",
+            "RetryPolicy",
+            "resolve_policy",
+        ),
+    ),
+    (".faults", ("Fault", "FaultPlan", "NodeCrash", "random_plan")),
+    (
+        ".parallel",
+        (
+            "DEFAULT_WINDOW",
+            "ParallelExecutionError",
+            "ParallelShardSet",
+            "ShardEngine",
+        ),
+    ),
+    (".recovery", ("DataNode", "RecoverableShardSet")),
+    (".report", ("ExecutionReport",)),
+    (
+        ".transport",
+        ("LoopbackTransport", "NodeFailure", "TcpTransport", "default_start_method"),
+    ),
+    (".router", ("ShardRouter", "stable_hash")),
+    (".service", ("PipelineExecutor",)),
+    (".sessions", ("Session", "SessionError", "TransactionService")),
+    (".shard", ("Shard", "ShardSet", "ShardSpec")),
+)

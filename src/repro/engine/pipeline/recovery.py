@@ -263,7 +263,6 @@ class RecoverableShardSet(ParallelShardSet):
         self._state_dir = state_dir
         self._wal: DurableLog | None = None
         self._commit_seq = 0
-        self._committed_windows: set[int] = set()
         self._dead: set[int] = set()
 
     @staticmethod
@@ -305,7 +304,6 @@ class RecoverableShardSet(ParallelShardSet):
     def begin_run(self) -> None:
         super().begin_run()
         self._commit_seq = 0
-        self._committed_windows = set()
         self._dead = set()
         self._wal.truncate()
         self._wal.append({"type": "begin"})
@@ -376,7 +374,6 @@ class RecoverableShardSet(ParallelShardSet):
                 committed = False
             if committed:
                 self._wal.append({"type": "commit", "window": window})
-                self._committed_windows.add(window)
                 self._broadcast_decision(window, "commit", payloads)
                 self._heal()
                 self._apply_shipments(updates)
@@ -465,26 +462,33 @@ class RecoverableShardSet(ParallelShardSet):
                 )
 
     def _resolve(self, node_id: int) -> None:
+        """Decide a restarted node's prepared-but-undecided windows from
+        the coordinator WAL, the single source of truth: a commit record
+        means commit, its absence abort (presumed abort).  One replay
+        per resolve, so the coordinator keeps no per-window state."""
         transport = self._transport
         transport.send(node_id, ("undecided",))
         reply = transport.recv(node_id)
-        for window in reply[1]:
-            verdict = (
-                "commit" if window in self._committed_windows else "abort"
-            )
+        undecided = reply[1]
+        if not undecided:
+            return
+        wanted = set(undecided)
+        committed = {
+            record["window"]
+            for record in self._wal.replay()
+            if record.get("type") == "commit" and record["window"] in wanted
+        }
+        for window in undecided:
+            verdict = "commit" if window in committed else "abort"
             transport.send(node_id, ("decide", window, verdict))
             transport.recv(node_id)
             self.ipc["resolved_windows"] += 1
 
     def _recover_coordinator(self) -> None:
-        """Rebuild decision state from the durable WAL alone — exactly
-        what a restarted coordinator would see (torn tail truncated)."""
-        records = self._wal.repair()
-        self._committed_windows = {
-            record["window"]
-            for record in records
-            if record.get("type") == "commit"
-        }
+        """Restart the coordinator from its durable WAL alone: truncate
+        the torn tail.  It keeps no decision state besides the log —
+        :meth:`_resolve` reads verdicts from it."""
+        self._wal.repair()
 
     # ------------------------------------------------------------------
     def stage_snapshot(self) -> dict[str, Any]:

@@ -9,7 +9,7 @@ Hashing is **process-stable** by construction: Python's builtin
 ``hash(str)`` is salted per interpreter (``PYTHONHASHSEED``), so a
 router built on it would route items differently in every process and
 a seed would no longer determine the report.  Items are placed by the
-crc32 :func:`~repro.core.distributed.stable_hash` that DMT(k) sites
+crc32 :func:`~repro.model.operations.stable_hash` that DMT(k) sites
 use, a pure function of the item name.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ...core.distributed import stable_hash
+from ...model.operations import stable_hash
 
 
 class ShardRouter:

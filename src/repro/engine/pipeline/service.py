@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from random import Random
 from time import perf_counter
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ...core.protocol import Decision, DecisionStatus, Scheduler
 from ...model.generator import interleave
@@ -70,15 +70,11 @@ from ...obs.instrument import Instrumented
 from ...storage.database import Database
 from ...storage.wal import UndoLog
 from .admission import AdmissionQueue, RetryPolicy, resolve_policy
-from .parallel import (
-    CODE_IGNORE,
-    CODE_REJECT,
-    CODE_SKIP,
-    DEFAULT_WINDOW,
-    ParallelShardSet,
-)
 from .report import ExecutionReport
 from .shard import ShardSet
+
+if TYPE_CHECKING:
+    from .parallel import ParallelShardSet
 
 
 class _TxnState:
@@ -301,6 +297,8 @@ class PipelineExecutor(Instrumented):
                     "parallel execution requires a ShardSet (its spec "
                     "configures the per-shard engines)"
                 )
+            from .parallel import DEFAULT_WINDOW, ParallelShardSet
+
             if isinstance(parallel, ParallelShardSet):
                 plane = parallel
                 if plane.spec.n_shards != shards.spec.n_shards:
@@ -529,6 +527,8 @@ class PipelineExecutor(Instrumented):
         decided remotely; this merge applies storage/undo/retry effects
         centrally, strictly in admission order, and queues the commands
         that keep every replica convergent."""
+        from .parallel import CODE_IGNORE, CODE_REJECT, CODE_SKIP
+
         plane = self.parallel_plane
         assert plane is not None
         plane.begin_run()

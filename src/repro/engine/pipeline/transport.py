@@ -38,7 +38,6 @@ them deterministically too.  Crash faults are realized inside the node
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import socket
 from typing import Any, Mapping
@@ -55,7 +54,10 @@ NODE_TIMEOUT = 120.0
 
 def default_start_method() -> str:
     """``fork`` when the platform offers it (fast node startup, the
-    engine config is tiny either way), else ``spawn``."""
+    engine config is tiny either way), else ``spawn``.  Only TCP nodes
+    are processes, so only this lane imports :mod:`multiprocessing`."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
@@ -351,6 +353,8 @@ class TcpTransport(_FaultingEndpoint):
         fault_plan: FaultPlan,
     ) -> None:
         super().__init__()
+        import multiprocessing
+
         self.fault_plan = fault_plan
         self._context = multiprocessing.get_context(default_start_method())
         self._meta: dict[int, tuple[tuple[int, ...], tuple, str]] = {}

@@ -1,64 +1,41 @@
-"""Transaction/log model substrate (Section II of the paper)."""
+"""Transaction/log model substrate (Section II of the paper).
 
-from .operations import (
-    OpKind,
-    Operation,
-    Transaction,
-    multi_step,
-    read,
-    two_step,
-    write,
+Names load on first access (:mod:`repro._lazy`): the serializers pull in
+:mod:`repro.core.protocol`, which nothing else here needs.
+"""
+
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    (
+        ".operations",
+        ("OpKind", "Operation", "Transaction", "read", "write", "two_step", "multi_step"),
+    ),
+    (".log", ("Log", "serial_permutations")),
+    (".dependency", ("DependencyEdge", "DependencyGraph", "dependency_pairs")),
+    (
+        ".generator",
+        (
+            "WorkloadSpec",
+            "generate_transactions",
+            "interleave",
+            "random_log",
+            "random_logs",
+            "all_interleavings",
+            "enumerate_two_step_systems",
+            "enumerate_small_logs",
+        ),
+    ),
+    (
+        ".serialize",
+        (
+            "log_to_dict",
+            "log_from_dict",
+            "log_to_json",
+            "log_from_json",
+            "run_result_to_dict",
+            "run_result_to_json",
+        ),
+    ),
 )
-from .log import Log, serial_permutations
-from .dependency import DependencyEdge, DependencyGraph, dependency_pairs
-from .generator import (
-    WorkloadSpec,
-    all_interleavings,
-    enumerate_small_logs,
-    enumerate_two_step_systems,
-    generate_transactions,
-    interleave,
-    random_log,
-    random_logs,
-)
-
-__all__ = [
-    "OpKind",
-    "Operation",
-    "Transaction",
-    "read",
-    "write",
-    "two_step",
-    "multi_step",
-    "Log",
-    "serial_permutations",
-    "DependencyEdge",
-    "DependencyGraph",
-    "dependency_pairs",
-    "WorkloadSpec",
-    "generate_transactions",
-    "interleave",
-    "random_log",
-    "random_logs",
-    "all_interleavings",
-    "enumerate_two_step_systems",
-    "enumerate_small_logs",
-]
-
-from .serialize import (
-    log_from_dict,
-    log_from_json,
-    log_to_dict,
-    log_to_json,
-    run_result_to_dict,
-    run_result_to_json,
-)
-
-__all__ += [
-    "log_to_dict",
-    "log_from_dict",
-    "log_to_json",
-    "log_from_json",
-    "run_result_to_dict",
-    "run_result_to_json",
-]

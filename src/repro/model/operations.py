@@ -21,6 +21,7 @@ phase followed by one write phase; :func:`two_step` builds one.
 from __future__ import annotations
 
 import enum
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -85,6 +86,17 @@ def read(txn: int, item: str) -> Operation:
 def write(txn: int, item: str) -> Operation:
     """Convenience constructor for ``W_txn[item]``."""
     return Operation(OpKind.WRITE, txn, item)
+
+
+def stable_hash(item: str) -> int:
+    """Deterministic, process-independent hash of an item name: what
+    places items on DMT(k) sites and pipeline shards.
+
+    The builtin ``hash(str)`` is salted per interpreter
+    (``PYTHONHASHSEED``): item placement built on it — and with it every
+    message count — would change from run to run.  ``zlib.crc32`` is a
+    pure function of the name."""
+    return zlib.crc32(item.encode("utf-8"))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,15 @@
-"""Storage substrate: backends, lock manager, versioned store, undo log."""
+"""Storage substrate: backends, lock manager, versioned store, undo log.
 
-from .backend import StorageBackend, VersionedBackend, WALBackend
-from .database import Database
-from .locks import LockManager, LockMode, LockOutcome
-from .versioned import MultiversionStore
-from .wal import UndoLog
+Names load on first access (:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "Database",
-    "LockManager",
-    "LockMode",
-    "LockOutcome",
-    "MultiversionStore",
-    "StorageBackend",
-    "UndoLog",
-    "VersionedBackend",
-    "WALBackend",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    (".backend", ("StorageBackend", "VersionedBackend", "WALBackend")),
+    (".database", ("Database",)),
+    (".locks", ("LockManager", "LockMode", "LockOutcome")),
+    (".versioned", ("MultiversionStore",)),
+    (".wal", ("UndoLog",)),
+)

@@ -92,11 +92,7 @@ def test_no_freed_row_is_read_again(guarded, config, n_shards, windowed):
         with service:
             service.submit_programs(programs)
             report = service.run(seed=seed, arrivals=arrivals)
-        if config.get("rollback") != "partial":
-            # Partial rollback commits cycles on some of these streams,
-            # at the parent of this change too: test_check_corpus,
-            # test_partial_rollback_open_loop_is_serializable.
-            assert report.is_serializable()
+        assert report.is_serializable()
         assert report.committed
         freed += sum(len(table.freed) for table in guarded)
         guarded.clear()

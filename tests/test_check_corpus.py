@@ -183,22 +183,22 @@ def test_hot_closed_loop_rounds_are_serializable(seed):
     assert rounds >= 1000
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known escape under VI-C 1 partial rollback: a re-seeded "
-    "transaction keeps its index slots and history entries (ROADMAP "
-    "item 6); the fix must flip this",
+@pytest.mark.parametrize(
+    "items, seed", [(12, 2), (12, 4), (12, 24), (64, 2), (64, 30)]
 )
-def test_partial_rollback_open_loop_is_serializable():
-    """150 Zipf(1.1) transactions over 12 items, open loop, with the
-    scheduler's partial rollback on: seed 2 commits a cycle at every
-    shard count (seeds 2 and 4 of 0-7 do)."""
+def test_partial_rollback_open_loop_is_serializable(items, seed):
+    """150 Zipf(1.1) transactions, open loop, with the scheduler's
+    partial rollback on.  Each of these five streams (of 40 seeds over
+    12, 64 and 4,096 items) committed a cycle while a preserved abort
+    let its re-seeded vector rise above ``RT(x)`` of an item it had read:
+    a later write ordered after ``RT(x)`` alone slipped below it.  The
+    abort now keeps such a reader in ``pending_readers[x]``."""
     from repro.engine.pipeline import TransactionService
     from tests.scheduler_streams import zipf_stream
 
-    programs, arrivals = zipf_stream(150, seed=2, items=12)
+    programs, arrivals = zipf_stream(150, seed=seed, items=items)
     service = TransactionService(k=3, max_attempts=20, rollback="partial")
     service.scheduler.partial_rollback = True
     service.submit_programs(programs)
-    report = service.run(seed=2, arrivals=arrivals)
+    report = service.run(seed=seed, arrivals=arrivals)
     assert report.is_serializable()

@@ -568,6 +568,32 @@ class TestScriptedFaults:
         prefix = held[: len(held) // 10]
         assert max(held) == max(prefix), (max(prefix), max(held))
 
+    def test_coordinator_state_does_not_grow_with_windows(self, monkeypatch):
+        """The coordinator kept the id of every committed window for
+        the whole run; its WAL already holds them (a restarted node's
+        undecided windows are resolved by replaying it), so nothing it
+        holds in memory outgrows the transactions while windows
+        outnumber them five to one."""
+        from repro.engine.pipeline.recovery import RecoverableShardSet
+
+        largest: dict[str, int] = {}
+        run_window = RecoverableShardSet.run_window
+
+        def spy(plane, *args, **kwargs):
+            decisions = run_window(plane, *args, **kwargs)
+            for name, value in vars(plane).items():
+                if isinstance(value, (dict, set, list)):
+                    largest[name] = max(largest.get(name, 0), len(value))
+            return decisions
+
+        monkeypatch.setattr(RecoverableShardSet, "run_window", spy)
+        txns, log = make_workload(1, num_txns=120)
+        got, snap = run_recoverable(txns, log)
+        assert report_tuple(got) == report_tuple(baseline(txns, log))
+        assert snap["parallel"]["ipc"]["rounds"] > 5 * len(txns)
+        grown = {name: size for name, size in largest.items() if size > len(txns)}
+        assert not grown, grown
+
     def test_rollback_and_redo_replay_the_log(self, monkeypatch):
         """Faults late in a long run: a dropped vote rolls the other
         node's tentatively applied window back and restarts node 0, a
@@ -587,9 +613,14 @@ class TestScriptedFaults:
         lengths = []
         replay = DurableLog.replay
 
+        coordinator = []
+
         def spy(log):
             records = replay(log)
-            lengths.append(len(records))
+            if log.path.endswith("coordinator.wal"):
+                coordinator.append(len(records))
+            else:
+                lengths.append(len(records))
             return records
 
         monkeypatch.setattr(DurableLog, "replay", spy)
@@ -601,6 +632,9 @@ class TestScriptedFaults:
         # read two records for every window the node committed.
         long = [length for length in lengths if length > len(inv[0])]
         assert len(long) == 3, lengths
+        # The coordinator answers each restarted node's undecided
+        # windows from one replay of its WAL.
+        assert len(coordinator) == 2 and min(coordinator) > last, coordinator
 
     def test_torn_wal_presumes_abort_and_retries(self):
         plan = FaultPlan([Fault("torn-wal", 0)])
