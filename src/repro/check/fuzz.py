@@ -155,6 +155,13 @@ _EXECUTOR_CONFIGS: tuple[tuple[str, SchedulerFactory, dict[str, Any]], ...] = (
     ("dmt2", lambda: DMTkScheduler(2), {}),
 )
 
+#: Front-door configurations exercised per case: (name, service kwargs).
+#: ``rollback="partial"`` alone must reach VI-C 1 through the service.
+_SERVICE_CONFIGS: tuple[tuple[str, dict[str, Any]], ...] = (
+    ("service_mt2_partial", {"k": 2, "rollback": "partial"}),
+    ("service_dmt2_partial", {"k": 2, "n_shards": 2, "rollback": "partial"}),
+)
+
 
 #: Shard counts the pipeline service is fuzzed with by default; the
 #: ISSUE-level claim is that any of these is decision-safe.
@@ -276,9 +283,15 @@ def executor_violations(
     violations: list[Violation] = []
     text = str(log)
     transactions = list(log.transactions.values())
+    reports = []
     for name, factory, kwargs in _EXECUTOR_CONFIGS:
         executor = PipelineExecutor(factory(), **kwargs)
-        report = executor.execute(transactions, schedule=log)
+        reports.append((name, executor.execute(transactions, schedule=log)))
+    for name, kwargs in _SERVICE_CONFIGS:
+        with TransactionService(**kwargs) as service:
+            service.submit_programs(transactions)
+            reports.append((name, service.run(schedule=log)))
+    for name, report in reports:
         overlap = report.committed & report.failed
         if overlap:
             violations.append(

@@ -95,6 +95,7 @@ class DMTkScheduler(MTkScheduler):
         read_rule: str = "line9",
         trace: bool = False,
         anti_starvation: bool = False,
+        partial_rollback: bool = False,
     ) -> None:
         if num_sites < 1:
             raise ValueError("need at least one site")
@@ -120,6 +121,7 @@ class DMTkScheduler(MTkScheduler):
             read_rule=read_rule,
             trace=trace,
             anti_starvation=anti_starvation,
+            partial_rollback=partial_rollback,
         )
         self.name = f"DMT({k})x{num_sites}"
 

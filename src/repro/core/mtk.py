@@ -35,7 +35,6 @@ from __future__ import annotations
 import copy
 from typing import Any, Iterable, Mapping
 
-from ..model.dependency import DependencyGraph
 from ..model.operations import Operation, OpKind
 from ..obs.instrument import Instrumented
 from .protocol import Decision, DecisionStatus, Scheduler
@@ -638,6 +637,8 @@ class MTkScheduler(Instrumented, Scheduler):
         of all known vectors and topologically sorts it (the paper's
         "topological sort of the corresponding timestamp vectors").
         """
+        from ..model.dependency import DependencyGraph
+
         txns = [
             t
             for t in self.table.known_txns()

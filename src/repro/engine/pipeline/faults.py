@@ -17,11 +17,15 @@ Fault vocabulary:
     ``post-vote``    — node dies after its vote is on the wire (the
     window can still commit; the node resolves the outcome at restart);
     ``pre-commit``   — node dies on receiving the decision, before
-    logging it (prepared-but-undecided; resolved at restart).
+    logging it (prepared-but-undecided; resolved at restart).  A
+    commit reaches the node inside its next prepare frame, so the
+    crash fires there.
 ``drop`` / ``duplicate`` / ``delay`` (coordinator-transport-side;
     ``phase`` names the message kind: ``prepare``, ``vote`` or
     ``decide``).  ``delay`` models a reply that misses the vote
     deadline: the node *did* apply, but the coordinator presumes abort.
+    A ``decide`` fault on a committed window acts on the prepare frame
+    that carries its decision.
 ``torn-wal`` (coordinator-side; no node)
     the coordinator crashes mid-append of the commit record for
     ``window`` — the decision is not durable, so recovery presumes

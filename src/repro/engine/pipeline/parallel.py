@@ -48,10 +48,11 @@ JSON arrays)::
       ("run", commands, shard_batches)
         commands      = (("restart", txn) | ("drop", txn)
                          | ("commit", txn) | ("reset",), ...)
-        shard_batches = ((shard_id, rows, batch), ...)
+        shard_batches = ((shard_id, rows, batch), ...)  # batched shards
         rows          = ((txn, snapshot), ...)      # replica refresh
         batch         = ((seq, txn, kind, item), ...)  # kind 0=R 1=W
-    host -> coordinator:
+    host -> coordinator (engines with news only: decisions, dirty
+    rows/items, or stats changed since their last reply):
       ((shard_id, decisions, rows, index, stats), ...)
         decisions = ((seq, code), ...)   # 0 accept / 1 ignore
                                          # 2 reject / 3 skip
@@ -398,29 +399,44 @@ class _WorkerHost:
             )
             for shard_id in shard_ids
         }
+        #: The stats each engine last replied with: the coordinator keeps
+        #: the last ones it merged, so unchanged stats need not travel.
+        self._reported: dict[int, tuple] = {}
 
     def handle(self, message: tuple) -> tuple:
         if message[0] != "run":
             raise ValueError(f"unknown message kind {message[0]!r}")
         _kind, commands, shard_batches = message
         engines = self.engines
+        batches = {}
         # Pass 1: replica rows (before commands, so undo repoints
         # triggered by restart/drop run against barrier-fresh rows).
-        for shard_id, rows, _batch in shard_batches:
+        for shard_id, rows, batch in shard_batches:
             if rows:
                 engines[shard_id].apply_rows(rows)
+            batches[shard_id] = batch
         # Pass 2: global commands, every hosted engine.
+        reported = self._reported
         if commands:
             for engine in engines.values():
                 for command in commands:
                     engine.apply_command(command)
-        # Pass 3: batches.
+            if ("reset",) in commands:
+                reported.clear()
+        # Pass 3: batches.  Only an engine with something to say
+        # replies: decisions, dirty rows or items, or changed stats.
         replies = []
-        for shard_id, _rows, batch in shard_batches:
-            engine = engines[shard_id]
+        for shard_id, engine in engines.items():
+            batch = batches.get(shard_id)
+            if batch is None and not commands:
+                continue
             decisions = engine.run_batch(batch) if batch else ()
             rows_out, index, stats = engine.collect_reply()
-            replies.append((shard_id, decisions, rows_out, index, stats))
+            if decisions or rows_out or index or stats != reported.get(
+                shard_id
+            ):
+                reported[shard_id] = stats
+                replies.append((shard_id, decisions, rows_out, index, stats))
         return tuple(replies)
 
 
@@ -730,9 +746,12 @@ class ParallelShardSet:
             entries_shipped += len(batch)
             rows_shipped += len(rows)
             updates[shard_id] = shard_updates
-            per_worker.setdefault(self._worker_of[shard_id], []).append(
-                (shard_id, rows, batch)
-            )
+            shipment = per_worker.setdefault(self._worker_of[shard_id], [])
+            # A shard without a batch has no rows to ship either: its
+            # host still applies the commands to it, so it stays off
+            # the wire.
+            if batch:
+                shipment.append((shard_id, rows, batch))
         return per_worker, entries_shipped, rows_shipped, updates
 
     def _apply_shipments(self, updates: dict[int, dict[int, int]]) -> None:

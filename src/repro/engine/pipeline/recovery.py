@@ -8,16 +8,21 @@ committed with two-phase commit, and both sides keep durable state
 (:class:`~repro.storage.wal.DurableLog`) so any participant can be
 killed and restarted mid-run:
 
-1. ``PREPARE``: the coordinator ships the window payload; each node
-   force-logs the payload (redo record), applies it tentatively, and
-   replies with its **vote** — which *is* the decision/row/index reply
-   of the windowed protocol, so voting costs no extra round trip.
+1. ``PREPARE``: the coordinator ships ``("prepare", w, payload,
+   decided)``; each node force-logs the frame it received as one line
+   (redo record, plus the commit of its previous window *decided* when
+   that is not null: one flush makes both durable), applies the payload
+   tentatively, and replies with its **vote** — which *is* the
+   decision/row/index reply of the windowed protocol, so voting costs
+   no extra round trip.
 2. Decision: if every involved node voted, the coordinator force-logs
-   ``commit`` in its own WAL (the commit point) and broadcasts
-   ``COMMIT``; any missing/late vote means **presumed abort** — no
-   durable record is written, ``ABORT`` is broadcast to survivors, and
-   the window is retried under a fresh window id.
-3. Recovery: a restarted node replays its log — committed windows are
+   ``commit`` in its own WAL (the commit point) and owes each involved
+   node the outcome until that node's next prepare carries it — no
+   decide frame, no ack; any missing/late vote means **presumed
+   abort** — no durable record is written, ``ABORT`` is sent eagerly
+   to survivors (they roll back before the retry), and the window is
+   retried under a fresh window id.
+3. Recovery: a restarted node streams its log — committed windows are
    re-applied in order (redo), aborted ones skipped, and
    prepared-but-undecided windows are resolved by asking the
    coordinator, whose WAL is the single source of truth (decision
@@ -26,7 +31,14 @@ killed and restarted mid-run:
    tentatively-applied window rebuilds its engines by replaying the
    committed prefix from its own log — state rolls back *exactly* to
    the fault-free prefix.  The log is the one copy of a committed
-   payload: a node's memory holds only its undecided windows.
+   payload: a node's memory holds only its undecided windows, at most
+   one fault-free.
+
+A node learns window outcomes in window order, and the commit record
+is still written before any node can learn the outcome, so the
+presumed-abort argument is the classic one.  A node that dies right
+after voting is found at its next prepare, which is then presumed
+aborted and retried.
 
 Because aborted windows are retried deterministically (watermarks only
 advance on commit, so a replanned attempt ships byte-identical
@@ -56,7 +68,8 @@ from .parallel import (
     ParallelShardSet,
     _WorkerHost,
 )
-from .transport import LoopbackTransport, NodeFailure, TcpTransport, retuple
+from . import transport as wire
+from .transport import LoopbackTransport, NodeFailure, TcpTransport
 
 __all__ = [
     "DataNode",
@@ -68,25 +81,32 @@ __all__ = [
 class DataNode:
     """One 2PC participant: hosts shard engines behind a durable log.
 
-    Log record types (JSONL via :class:`DurableLog`):
+    The log is the frames the node accepted, one per line, each the
+    exact bytes that arrived (:meth:`handle` takes a frame, not a
+    message):
 
-    ``{"type": "begin"}``
+    ``["begin"]``
         a fresh run starts; everything before it is dead state.
-    ``{"type": "prepared", "window": w, "payload": ...}``
-        the force-logged redo record — the exact ``("run", ...)``
-        message, applied tentatively right after the append.
-    ``{"type": "decision", "window": w, "verdict": "commit"|"abort"}``
-        the coordinator's outcome, logged before acking.
+    ``["prepare", w, payload, d]``
+        window ``w``'s redo record — *payload* is the ``("run", ...)``
+        message, applied tentatively right after the append — and, when
+        ``d`` is not null, the commit of this node's previous window
+        ``d``: one line, one flush, so the decision and the next
+        prepared payload become durable together.
+    ``["decide", w, verdict]``
+        an outcome delivered on its own: an abort (eager, so the node
+        rolls back before the retry's prepare arrives), or a decision
+        resolved after a restart.
 
     Memory holds the undecided windows only: a payload (and its vote
-    and applied mark) stays from ``prepare`` to ``decide`` and then
-    goes, so a node's state is O(windows in flight), not O(run).  The
-    log is the one copy of a committed payload.  Rebuilding the
-    engines — restart, or rolling back a tentatively applied window —
-    replays the committed prefix from the log in window order;
-    undecided prepared windows are reported to the coordinator via
-    ``undecided`` and resolved by pushed ``decide`` messages (commit ⇒
-    apply now)."""
+    and applied mark) stays from ``prepare`` until its decision arrives
+    and then goes; fault-free that is at most one window.  The log is
+    the one copy of a committed payload.  Rebuilding the engines —
+    restart, or rolling back a tentatively applied window — streams the
+    log and applies each committed window as its decision is read
+    (outcomes arrive in window order); undecided prepared windows are
+    reported to the coordinator via ``undecided`` and resolved by pushed
+    ``decide`` messages (commit ⇒ apply now)."""
 
     def __init__(
         self,
@@ -111,53 +131,61 @@ class DataNode:
 
     # ------------------------------------------------------------------
     def recover(self) -> None:
-        """Restart entry point: truncate any torn tail, then redo."""
+        """Restart entry point: redo, then truncate any torn tail."""
         self._votes.clear()
-        self._rebuild(self._log.repair())
+        self._rebuild()
+        self._log.drop_torn_tail()
 
-    def _rebuild(self, records: Sequence[dict]) -> None:
-        """Rebuild engines from scratch by replaying the committed
-        prefix of ``records`` (this node's log) in window order — both
-        crash recovery and tentative-window rollback.  The undecided
-        windows come back as payloads, none of them applied."""
-        prepared: dict[int, Any] = {}
-        verdicts: dict[int, str] = {}
-        for record in records:
-            kind = record["type"]
-            if kind == "begin":
-                prepared.clear()
-                verdicts.clear()
-            elif kind == "prepared":
-                prepared[record["window"]] = record["payload"]
-            elif kind == "decision":
-                verdicts[record["window"]] = record["verdict"]
-        self._host = _WorkerHost(self._shard_ids, self._config)
+    def _rebuild(self) -> None:
+        """Rebuild engines from scratch by streaming this node's log one
+        frame at a time — both crash recovery and tentative-window
+        rollback.  A committed window is applied when its decision is
+        read, which is window order; only undecided payloads are held,
+        and they come back unapplied."""
+        host = _WorkerHost(self._shard_ids, self._config)
+        pending: dict[int, tuple] = {}
+        for frame in self._log.scan(wire.decode_payload):
+            kind = frame[0]
+            if kind == "prepare":
+                _kind, window, payload, decided = frame
+                if decided is not None:
+                    host.handle(pending.pop(decided))
+                pending[window] = payload
+            elif kind == "decide":
+                _kind, window, verdict = frame
+                payload = pending.pop(window)
+                if verdict == "commit":
+                    host.handle(payload)
+            else:  # "begin"
+                host = _WorkerHost(self._shard_ids, self._config)
+                pending.clear()
+        self._host = host
         self._applied.clear()
-        for window in sorted(prepared):
-            if verdicts.get(window) == "commit":
-                self._host.handle(retuple(prepared[window]))
-        self._prepared = {
-            window: retuple(payload)
-            for window, payload in prepared.items()
-            if window not in verdicts
-        }
+        self._prepared = pending
 
     def undecided(self) -> list[int]:
         return sorted(self._prepared)
 
     # ------------------------------------------------------------------
-    def handle(self, message: tuple) -> tuple:
+    def handle(self, frame: bytes) -> tuple:
+        """Answer one wire frame; the frames that change durable state
+        are logged as received."""
+        message = wire.decode_payload(frame)
         kind = message[0]
         if kind == "prepare":
-            _kind, window, payload = message
+            _kind, window, payload, decided = message
+            if decided is not None and self._plan.crash_at(
+                self.node_id, decided, PRE_COMMIT
+            ):
+                raise NodeCrash(PRE_COMMIT, decided)
             if self._plan.crash_at(self.node_id, window, PRE_PREPARE):
                 raise NodeCrash(PRE_PREPARE, window)
             if window in self._votes:
                 # Duplicate delivery: idempotent re-vote, no re-apply.
                 return ("vote", window, self._votes[window])
-            self._log.append(
-                {"type": "prepared", "window": window, "payload": payload}
-            )
+            self._log.append(frame)
+            if decided is not None:
+                self._decide(decided, "commit")
             self._prepared[window] = payload
             reply = self._host.handle(payload)
             self._applied.add(window)
@@ -171,37 +199,38 @@ class DataNode:
             _kind, window, verdict = message
             if self._plan.crash_at(self.node_id, window, PRE_COMMIT):
                 raise NodeCrash(PRE_COMMIT, window)
-            payload = self._prepared.pop(window, None)
-            if payload is None:
-                # No longer pending: a duplicate decision, idempotent.
-                return ("ack", window)
-            self._log.append(
-                {"type": "decision", "window": window, "verdict": verdict}
-            )
-            # A duplicate prepare is on the wire back-to-back with the
-            # original, before any vote is read — once the decision is
-            # logged no copy can still arrive, so the vote is dead weight.
-            self._votes.pop(window, None)
-            if window in self._applied:
-                self._applied.discard(window)
-                if verdict == "abort":
-                    # Tentatively applied: roll back to committed prefix.
-                    self._rebuild(self._log.replay())
-            elif verdict == "commit":
-                # Commit resolved after a restart: redo the payload now.
-                self._host.handle(payload)
+            if window in self._prepared:
+                self._log.append(frame)
+                self._decide(window, verdict)
+            # else no longer pending: a duplicate decision, idempotent.
             return ("ack", window)
         if kind == "undecided":
             return ("undecided-reply", tuple(self.undecided()))
         if kind == "begin":
             self._log.truncate()
-            self._log.append({"type": "begin"})
+            self._log.append(frame)
             self._prepared.clear()
             self._votes.clear()
             self._applied.clear()
             self._host = _WorkerHost(self._shard_ids, self._config)
             return ("ready",)
         raise ValueError(f"unknown message kind {kind!r}")
+
+    def _decide(self, window: int, verdict: str) -> None:
+        """Act on a logged outcome for a pending window."""
+        payload = self._prepared.pop(window)
+        # A duplicate prepare is on the wire back-to-back with the
+        # original, before any vote is read — once the decision is
+        # logged no copy can still arrive, so the vote is dead weight.
+        self._votes.pop(window, None)
+        if window in self._applied:
+            self._applied.discard(window)
+            if verdict == "abort":
+                # Tentatively applied: roll back to committed prefix.
+                self._rebuild()
+        elif verdict == "commit":
+            # Commit resolved after a restart: redo the payload now.
+            self._host.handle(payload)
 
     def close(self) -> None:
         self._log.close()
@@ -264,6 +293,9 @@ class RecoverableShardSet(ParallelShardSet):
         self._wal: DurableLog | None = None
         self._commit_seq = 0
         self._dead: set[int] = set()
+        #: node -> its last committed window, until the vote on the
+        #: prepare frame that carried the decision comes back.
+        self._owed: dict[int, int] = {}
 
     @staticmethod
     def _fresh_ipc() -> dict[str, int]:
@@ -305,14 +337,24 @@ class RecoverableShardSet(ParallelShardSet):
         super().begin_run()
         self._commit_seq = 0
         self._dead = set()
+        self._owed.clear()
         self._wal.truncate()
         self._wal.append({"type": "begin"})
         # Reset every node durably (their logs restart at "begin") —
         # the plane-level _pending_reset still rides the first window so
         # coordinator-visible behavior matches the base plane exactly.
-        for node_id in self._transport.nodes():
-            self._transport.send(node_id, ("begin",))
-            reply = self._transport.recv(node_id)
+        transport = self._transport
+        for node_id in transport.nodes():
+            try:
+                transport.send(node_id, ("begin",))
+                reply = transport.recv(node_id)
+            except NodeFailure:
+                # Died after its last vote of the previous run, which
+                # nothing told it about: begin wipes that state anyway.
+                transport.restart(node_id)
+                self.ipc["node_restarts"] += 1
+                transport.send(node_id, ("begin",))
+                reply = transport.recv(node_id)
             if reply[0] != "ready":  # pragma: no cover - protocol bug
                 raise ParallelExecutionError(
                     f"node {node_id} failed to begin: {reply!r}"
@@ -373,30 +415,37 @@ class RecoverableShardSet(ParallelShardSet):
                 self._recover_coordinator()
                 committed = False
             if committed:
+                # The commit point.  Nodes learn it from their next
+                # prepare frame: every node voted, so none is owed
+                # anything older, and none is dead.
                 self._wal.append({"type": "commit", "window": window})
-                self._broadcast_decision(window, "commit", payloads)
-                self._heal()
+                for node_id in payloads:
+                    self._owed[node_id] = window
                 self._apply_shipments(updates)
                 decisions = self._merge_replies(votes)
                 self._account_ipc(entries, rows, len(per_worker))
                 return decisions
             self._wal.append({"type": "abort", "window": window})
             self.ipc["window_aborts"] += 1
-            self._broadcast_decision(window, "abort", payloads)
+            self._broadcast_abort(window, payloads)
             self._heal()
 
     def _prepare_round(
         self, window: int, payloads: Mapping[int, tuple]
     ) -> dict[int, tuple] | None:
         """PREPARE fan-out; returns all votes, or None if any node
-        failed to vote (presumed abort)."""
+        failed to vote (presumed abort).  Each frame also carries the
+        node's owed commit, if any: a vote on it means the node logged
+        the decision."""
         transport = self._transport
+        owed = self._owed
         votes: dict[int, tuple] = {}
         failed = False
         for node_id in sorted(payloads):
             try:
                 transport.send(
-                    node_id, ("prepare", window, payloads[node_id])
+                    node_id,
+                    ("prepare", window, payloads[node_id], owed.get(node_id)),
                 )
             except NodeFailure:
                 self._dead.add(node_id)
@@ -418,20 +467,22 @@ class RecoverableShardSet(ParallelShardSet):
                     f"for window {window}"
                 )
             votes[node_id] = reply[2]
+            owed.pop(node_id, None)
         return None if failed else votes
 
-    def _broadcast_decision(
-        self, window: int, verdict: str, payloads: Mapping[int, tuple]
+    def _broadcast_abort(
+        self, window: int, payloads: Mapping[int, tuple]
     ) -> None:
-        """Best-effort decision delivery.  A node that misses it is
-        marked dead and resolved at restart — for commits the WAL record
-        is the truth, for aborts absence is (presumed abort)."""
+        """Eager, best-effort abort delivery, so a node rolls back before
+        the retry's prepare.  A node that misses it is marked dead and
+        resolved at restart (absence of a commit record is the truth:
+        presumed abort)."""
         transport = self._transport
         for node_id in sorted(payloads):
             if node_id in self._dead:
                 continue
             try:
-                transport.send(node_id, ("decide", window, verdict))
+                transport.send(node_id, ("decide", window, "abort"))
                 transport.recv(node_id)  # ("ack", window)
             except NodeFailure:
                 self._dead.add(node_id)
@@ -450,6 +501,8 @@ class RecoverableShardSet(ParallelShardSet):
                 node_id, fault_horizon=self._commit_seq
             )
             self.ipc["node_restarts"] += 1
+            # Resolution decides every window the node holds.
+            self._owed.pop(node_id, None)
             try:
                 self._resolve(node_id)
             except NodeFailure:

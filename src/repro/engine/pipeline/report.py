@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...model.dependency import DependencyGraph
 from ...model.log import Log
 from ...model.operations import Operation
 
@@ -39,4 +38,6 @@ class ExecutionReport:
     def is_serializable(self) -> bool:
         """The committed projection must always be DSR (Theorem 2
         end-to-end)."""
+        from ...model.dependency import DependencyGraph
+
         return not DependencyGraph.of_log(self.committed_log).has_cycle()

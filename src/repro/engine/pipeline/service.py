@@ -63,7 +63,6 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ...core.protocol import Decision, DecisionStatus, Scheduler
-from ...model.generator import interleave
 from ...model.log import Log
 from ...model.operations import Operation, OpKind, Transaction
 from ...obs.instrument import Instrumented
@@ -392,6 +391,8 @@ class PipelineExecutor(Instrumented):
             if schedule is not None:
                 raise ValueError("arrivals and schedule are mutually exclusive")
         elif schedule is None:
+            from ...model.generator import interleave
+
             schedule = interleave(transactions, rng)
         self.reset_observability()
         self.scheduler.reset()

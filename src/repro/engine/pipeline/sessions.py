@@ -152,6 +152,7 @@ class TransactionService:
             retain_locks=retain_locks,
             sync_interval=sync_interval,
             anti_starvation=anti_starvation,
+            partial_rollback=rollback == "partial",
         )
         self.shards = ShardSet(spec, router=router)
         self.executor = PipelineExecutor(

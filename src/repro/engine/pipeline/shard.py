@@ -50,6 +50,10 @@ class ShardSpec:
     #: its blocker so deterministic reject loops cannot recur.  Open-loop
     #: hot-key workloads (the Zipf scenarios) need this to converge.
     anti_starvation: bool = False
+    #: Section VI-C 1 partial rollback: an abort with no transaction
+    #: ordered after the victim keeps its executed prefix (the service's
+    #: ``rollback="partial"``).
+    partial_rollback: bool = False
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -131,6 +135,7 @@ class ShardSet:
                 return MVMTkScheduler(
                     self.spec.k,
                     anti_starvation=self.spec.anti_starvation,
+                    partial_rollback=self.spec.partial_rollback,
                     commit_aware=True,
                 )
             from ...core.mtk import MTkScheduler
@@ -139,6 +144,7 @@ class ShardSet:
                 self.spec.k,
                 read_rule=self.spec.read_rule,
                 anti_starvation=self.spec.anti_starvation,
+                partial_rollback=self.spec.partial_rollback,
             )
         shared = dict(
             num_sites=self.spec.n_shards,
@@ -147,6 +153,7 @@ class ShardSet:
             retain_locks=self.spec.retain_locks,
             sync_interval=self.spec.sync_interval,
             anti_starvation=self.spec.anti_starvation,
+            partial_rollback=self.spec.partial_rollback,
         )
         if multiversion:
             from ...core.multiversion import MVDMTkScheduler

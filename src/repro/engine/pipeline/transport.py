@@ -25,14 +25,18 @@ The codec is built once per process: :func:`encode_payload` is
 one prebuilt encoder, :func:`decode_payload` is ``json.loads`` through
 one prebuilt decoder (the same errors on truncated or trailing bytes),
 and :func:`retuple` turns the decoded arrays back into tuples at every
-depth, recursing into containers only.  :func:`roundtrip` looks both
-codec functions up as module globals on every call, so wrapping them
-here wraps every loopback frame.
+depth, recursing into containers only.  A data node is handed the
+frame's *bytes* (:meth:`~.recovery.DataNode.handle` decodes them and
+logs them as received); its reply comes back through
+:func:`roundtrip`.  Every caller looks both codec functions up as
+module globals on every call, so wrapping them here wraps every frame.
 
 Message faults (drop / duplicate / delay) are realized here, on the
 coordinator side of the wire, for both transports — so TCP runs inject
-them deterministically too.  Crash faults are realized inside the node
-(it knows its 2PC phase); see :mod:`.faults` for the vocabulary.
+them deterministically too.  A commit decision travels inside the
+node's next prepare frame, so a ``decide`` fault on a committed window
+acts on that frame.  Crash faults are realized inside the node (it
+knows its 2PC phase); see :mod:`.faults` for the vocabulary.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ FRAME_HEADER = 4
 MAX_FRAME = 1 << 28  # 256 MiB sanity bound
 #: Seconds a TCP node may take to report its port or answer one frame.
 NODE_TIMEOUT = 120.0
+#: The encoded ``("stop",)`` that shuts a TCP node down; it is never
+#: handed to the node, so never logged.
+STOP_FRAME = b'["stop"]'
 
 
 def default_start_method() -> str:
@@ -138,18 +145,17 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> Any | None:
-    """One decoded frame, or None on orderly/clean EOF."""
+def recv_frame(sock: socket.socket) -> bytes | None:
+    """One frame's payload bytes, undecoded, or None on orderly/clean
+    EOF.  A data node logs the bytes it accepted, so decoding is the
+    receiver's business."""
     header = _recv_exact(sock, FRAME_HEADER)
     if header is None:
         return None
     length = int.from_bytes(header, "big")
     if length > MAX_FRAME:
         raise ValueError(f"frame of {length} bytes exceeds sanity bound")
-    data = _recv_exact(sock, length)
-    if data is None:
-        return None
-    return decode_payload(data)
+    return _recv_exact(sock, length)
 
 
 # ----------------------------------------------------------------------
@@ -172,15 +178,18 @@ class _FaultingEndpoint:
         kind = message[0]
         if kind not in ("prepare", "decide"):
             return 1
-        fault = self.fault_plan.message_fault(node, message[1], kind)
-        if fault == "drop":
+        plan = self.fault_plan
+        faults = {plan.message_fault(node, message[1], kind)}
+        if kind == "prepare" and message[3] is not None:
+            # The frame that carries a window's commit is that window's
+            # decide message: a ``decide`` fault on it acts here.
+            faults.add(plan.message_fault(node, message[3], "decide"))
+        if "drop" in faults:
             return 0
-        if fault == "duplicate":
-            return 2
-        if fault == "delay":
+        if "delay" in faults:
             # Delivered, but the reply will miss the deadline.
             self._delayed.add(node)
-        return 1
+        return 2 if "duplicate" in faults else 1
 
     def _inbound_fault(self, node: int, reply: tuple) -> None:
         if node in self._delayed:
@@ -237,9 +246,8 @@ class LoopbackTransport(_FaultingEndpoint):
         copies = self._outbound_fault(node_id, message)
         queue = self._replies.setdefault(node_id, [])
         for _ in range(copies):
-            wire = roundtrip(message)
             try:
-                reply = node.handle(wire)
+                reply = node.handle(encode_payload(message))
             except NodeCrash as crash:
                 # The node is gone; only its flushed log remains.
                 node.close()
@@ -316,11 +324,11 @@ def _node_server_main(
     server.close()
     try:
         while True:
-            message = recv_frame(conn)
-            if message is None or message[0] == "stop":
+            frame = recv_frame(conn)
+            if frame is None or frame == STOP_FRAME:
                 break
             try:
-                reply = node.handle(message)
+                reply = node.handle(frame)
             except NodeCrash as crash:
                 if crash.reply is not None:
                     send_frame(conn, crash.reply)
@@ -416,7 +424,7 @@ class TcpTransport(_FaultingEndpoint):
                 frame = recv_frame(sock)
                 if frame is None:
                     break
-                reply = frame
+                reply = decode_payload(frame)
         except socket.timeout:
             raise NodeFailure(
                 node_id, f"sent no reply within {NODE_TIMEOUT:.0f}s"

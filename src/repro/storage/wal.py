@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 if TYPE_CHECKING:  # structural type only; avoids an import cycle at runtime
     from .backend import StorageBackend
@@ -114,77 +114,93 @@ class UndoLog:
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
+def _encode_record(record: dict | bytes) -> bytes:
+    if type(record) is bytes:
+        return record
+    return _RECORD_ENCODER.encode(record).encode("utf-8")
+
+
 class DurableLog:
     """Append-only JSONL redo log with torn-tail recovery.
 
     The recovery plane's durability primitive, shared by the coordinator
-    (commit/abort decision records) and the data nodes (prepared-window
-    payloads + decision records).  One JSON object per line; a record is
-    durable once its newline hit the OS page cache — crashes in this
-    harness are ``os._exit``, which preserves flushed buffers, so no
-    fsync is needed for deterministic tests.
+    (commit/abort decision records, dicts) and the data nodes (the wire
+    frames they accepted, logged as the bytes that arrived).  One JSON
+    value per line; a record is durable once its newline hit the OS page
+    cache — crashes in this harness are ``os._exit``, which preserves
+    flushed buffers, so no fsync is needed for deterministic tests.
 
     A *torn* tail (partial final line with no newline, as left by a
-    crash mid-append) is silently discarded by :meth:`replay`; anything
+    crash mid-append) is silently discarded by :meth:`scan`; anything
     undecodable *before* the final line is real corruption and raises.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
-        self._file = open(self.path, "a", encoding="utf-8")
+        self._file = open(self.path, "ab")
+        #: Length of the durable prefix the last complete :meth:`scan`
+        #: read, which :meth:`drop_torn_tail` cuts the file back to.
+        self._durable = 0
 
     # ------------------------------------------------------------------
-    def append(self, record: dict) -> None:
-        """Durably append one record (atomic at line granularity)."""
-        self._file.write(_RECORD_ENCODER.encode(record) + "\n")
+    def append(self, record: dict | bytes) -> None:
+        """Durably append one record (atomic at line granularity): a
+        dict is encoded with sorted keys, ``bytes`` are an encoded JSON
+        value (a wire frame) written verbatim."""
+        self._file.write(_encode_record(record) + b"\n")
         self._file.flush()
 
-    def append_torn(self, record: dict) -> None:
+    def append_torn(self, record: dict | bytes) -> None:
         """Fault injection only: write a *partial* record with no
         terminating newline, simulating a crash mid-append."""
-        text = _RECORD_ENCODER.encode(record)
-        self._file.write(text[: max(1, len(text) // 2)])
+        data = _encode_record(record)
+        self._file.write(data[: max(1, len(data) // 2)])
         self._file.flush()
 
     # ------------------------------------------------------------------
-    def replay(self) -> list[dict]:
-        """All durable records, oldest first, torn tail excluded."""
+    def scan(self, decode: Callable[[bytes], Any] = json.loads) -> Iterator[Any]:
+        """Every durable record, oldest first, read and decoded one line
+        at a time (the log is never held whole); torn tail excluded."""
         self._file.flush()
-        records: list[dict] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for position, line in enumerate(lines):
-            if not line.endswith("\n"):
-                # Torn tail: the append never completed, the record was
-                # never decided durable.  (Only legal on the last line.)
-                break
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                if position == len(lines) - 1:
+        durable = 0
+        with open(self.path, "rb") as handle:
+            for position, line in enumerate(handle, start=1):
+                if not line.endswith(b"\n"):
+                    # Torn tail: the append never completed, the record
+                    # was never durable.  (Only legal on the last line.)
+                    break
+                try:
+                    record = decode(line[:-1])
+                except ValueError:
+                    if handle.readline().endswith(b"\n"):
+                        raise ValueError(
+                            f"corrupt WAL record at {self.path}:{position}"
+                        ) from None
                     break  # corrupt final line == torn tail
-                raise ValueError(
-                    f"corrupt WAL record at {self.path}:{position + 1}"
-                ) from None
-        return records
+                durable += len(line)
+                yield record
+        self._durable = durable
 
-    def repair(self) -> list[dict]:
-        """Replay, then truncate any torn tail so appends are safe again.
-        This is the restart entry point for both coordinator and nodes."""
+    def replay(self) -> list[Any]:
+        """All durable records, oldest first, torn tail excluded."""
+        return list(self.scan())
+
+    def drop_torn_tail(self) -> None:
+        """Cut the file back to the durable prefix the last complete
+        :meth:`scan` found, so appends are safe again."""
+        self._file.truncate(self._durable)
+
+    def repair(self) -> list[Any]:
+        """Replay, then drop any torn tail.  The coordinator's restart
+        entry point; a data node streams :meth:`scan` instead."""
         records = self.replay()
-        self._file.close()
-        good = "".join(
-            _RECORD_ENCODER.encode(record) + "\n" for record in records
-        )
-        with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write(good)
-        self._file = open(self.path, "a", encoding="utf-8")
+        self.drop_torn_tail()
         return records
 
     def truncate(self) -> None:
         """Drop every record (a fresh run begins)."""
-        self._file.close()
-        self._file = open(self.path, "w", encoding="utf-8")
+        self._file.truncate(0)
+        self._durable = 0
 
     def close(self) -> None:
         try:

@@ -87,8 +87,6 @@ def test_no_freed_row_is_read_again(guarded, config, n_shards, windowed):
         service = TransactionService(
             k=3, n_shards=n_shards, max_attempts=20, **config, **extra
         )
-        if config.get("rollback") == "partial":
-            service.scheduler.partial_rollback = True
         with service:
             service.submit_programs(programs)
             report = service.run(seed=seed, arrivals=arrivals)

@@ -198,7 +198,6 @@ def test_partial_rollback_open_loop_is_serializable(items, seed):
 
     programs, arrivals = zipf_stream(150, seed=seed, items=items)
     service = TransactionService(k=3, max_attempts=20, rollback="partial")
-    service.scheduler.partial_rollback = True
     service.submit_programs(programs)
     report = service.run(seed=seed, arrivals=arrivals)
     assert report.is_serializable()

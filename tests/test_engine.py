@@ -84,6 +84,27 @@ class TestPartialRollback:
         report_full = full.execute(txns, schedule=log)
         assert report_full.ops_reexecuted > 0
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_front_door_knob_turns_partial_rollback_on(self, n_shards):
+        """``rollback="partial"`` alone reaches VI-C 1: the service
+        builds its scheduler with ``partial_rollback`` on, so the abort
+        of T3 keeps ``R3[y]`` and nothing is re-executed."""
+        from repro.engine.pipeline import TransactionService
+
+        log = Log.parse("W1[x] W2[x] R3[y] W3[x]")
+        txns = [log.transactions[t] for t in sorted(log.txn_ids)]
+        with TransactionService(
+            k=2, n_shards=n_shards, rollback="partial"
+        ) as service:
+            assert service.scheduler.partial_rollback
+            service.submit_programs(txns)
+            report = service.run(schedule=log)
+        assert report.committed == {1, 2, 3}
+        assert report.restarts >= 1
+        assert report.ops_reexecuted == 0
+        with TransactionService(k=2, n_shards=n_shards) as service:
+            assert not service.scheduler.partial_rollback
+
     @given(st.integers(min_value=0, max_value=30))
     @settings(max_examples=30, deadline=None)
     def test_partial_rollback_is_serializable(self, seed):

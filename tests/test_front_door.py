@@ -61,20 +61,24 @@ service = TransactionService(k=3, **json.loads(sys.argv[1]))
 for txn in range(1, 13):
     with service.open() as session:
         session.read(f"x{txn % 5}").write(f"x{(txn * 7) % 5}")
-report = service.run(seed=1)
+if sys.argv[2] == "open":
+    report = service.run(arrivals={txn: txn for txn in range(1, 13)})
+else:
+    report = service.run(seed=1)
 service.close()
 assert report.committed, report
 print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_after(config: dict) -> frozenset[str]:
+def loaded_after(config: dict, loop: str = "closed") -> frozenset[str]:
     """Modules a fresh interpreter holds after it built
     ``TransactionService(k=3, **config)`` and ran a 12-transaction
-    stream through it."""
+    stream through it: interleaved from a seed (``"closed"``) or
+    arriving one per tick (``"open"``)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", _RUN, json.dumps(config)],
+        [sys.executable, "-c", _RUN, json.dumps(config), loop],
         env=env,
         check=True,
         capture_output=True,
@@ -133,6 +137,15 @@ def test_a_submodule_is_an_attribute_of_its_package():
 # ----------------------------------------------------------------------
 def test_one_shard_mtk_lane_loads_nothing_it_never_runs():
     assert not DENY & loaded_after({})
+
+
+def test_open_loop_run_loads_no_interleaver_and_no_dependency_graph():
+    """Only a seeded closed-loop run interleaves a schedule, and only a
+    serializability check or a serialization order builds a dependency
+    graph: an open-loop stream does neither."""
+    for config in ({}, {"protocol": "mvmt"}, {"n_shards": 4, "parallel": 0}):
+        loaded = loaded_after(config, "open")
+        assert not {"repro.model.generator", "repro.model.dependency"} & loaded
 
 
 def test_one_shard_mvmt_lane_loads_no_dmt():

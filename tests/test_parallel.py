@@ -280,3 +280,56 @@ class TestKnobPlumbing:
         plane.close()
         with pytest.raises(RuntimeError, match="closed"):
             plane.begin_run()
+
+
+class TestIdleEnginesStayOffTheWire:
+    """A window ships a ``(shard, rows, batch)`` entry only for a shard
+    with a batch, and a host replies only for an engine with decisions,
+    dirty rows or items, or stats that changed since its last reply.
+    The coordinator keeps each engine's last stats, so the gauges it
+    reports are still the engines' own."""
+
+    @pytest.mark.parametrize("protocol", ["mtk", "mvmt"])
+    def test_entries_and_replies_name_only_busy_engines(
+        self, monkeypatch, protocol
+    ):
+        from repro.engine.pipeline.parallel import _WorkerHost
+
+        seen = {"entries": 0, "replies": 0}
+        handle = _WorkerHost.handle
+
+        def spy(host, message):
+            _kind, commands, shard_batches = message
+            for _shard, _rows, batch in shard_batches:
+                assert batch
+            seen["entries"] += len(shard_batches)
+            replies = handle(host, message)
+            seen["replies"] += len(replies)
+            return replies
+
+        monkeypatch.setattr(_WorkerHost, "handle", spy)
+        txns, log = make_workload(5, num_txns=40, num_items=6)
+        service = TransactionService(
+            k=2, n_shards=4, parallel=0, window=4, protocol=protocol
+        )
+        windows = 0
+        with service:
+            for _run in range(2):  # the second run resets every engine
+                service.submit_programs(txns)
+                service.run(schedule=log)
+                plane = service.executor.parallel_plane
+                windows += plane.ipc["windows"]
+                (host,) = plane._transport._hosts.values()
+                exact = {}
+                for shard, engine in host.engines.items():
+                    _rows, _index, stats = engine.collect_reply()
+                    exact[shard] = stats
+                assert plane._engine_stats == exact
+                assert plane.element_visits == sum(
+                    engine.scheduler.table.element_visits
+                    for engine in host.engines.values()
+                )
+        assert seen["entries"] and seen["replies"]
+        # Every shard hears every command, but most windows batch on
+        # few shards: fewer entries than (window, shard) pairs.
+        assert seen["entries"] < 4 * windows

@@ -37,6 +37,7 @@ from repro.engine.pipeline import (
 )
 from repro.engine.pipeline.faults import (
     CRASH_PHASES,
+    NodeCrash,
     MESSAGE_FAULTS,
     MESSAGE_KINDS,
     POST_VOTE,
@@ -150,6 +151,39 @@ def involvement(seed, *, n_shards=4, nodes=2, window=4, num_txns=12):
     finally:
         _recovery.RecoverableShardSet._prepare_round = original
     _INVOLVEMENT_CACHE[key] = seen
+    return seen
+
+
+def committed_rounds(faults, seed=1, *, nodes=2, num_txns=12):
+    """``[(window, nodes)]`` of the 2PC rounds whose votes all came in,
+    in a loopback run of ``make_workload(seed, num_txns)`` under
+    *faults*.
+
+    A crash after a vote, or a lost decision, is found at the node's
+    next prepare and costs that round a presumed abort, which shifts
+    every later window id; targets for a fault scripted after such a
+    fault are discovered under it.  A round listed here runs the same
+    whatever is scripted for it later, so a ``torn-wal`` aimed at it
+    fires."""
+    from repro.engine.pipeline import recovery as _recovery
+
+    seen: list[tuple[int, frozenset]] = []
+    original = _recovery.RecoverableShardSet._prepare_round
+
+    def spy(self, window_id, payloads):
+        votes = original(self, window_id, payloads)
+        if votes is not None:
+            seen.append((window_id, frozenset(payloads)))
+        return votes
+
+    _recovery.RecoverableShardSet._prepare_round = spy
+    try:
+        txns, log = make_workload(seed, num_txns=num_txns)
+        run_recoverable(
+            txns, log, nodes=nodes, fault_plan=FaultPlan(list(faults))
+        )
+    finally:
+        _recovery.RecoverableShardSet._prepare_round = original
     return seen
 
 
@@ -435,6 +469,43 @@ class TestLoopbackEquivalence:
             assert ipc["window_aborts"] == 0
             assert ipc["node_restarts"] == 0
 
+    def test_four_nodes_one_frame_each_way_per_round(self, monkeypatch):
+        """Fault-free, a node a round involves gets one frame (the
+        prepare, carrying its previous commit) and sends one back (the
+        vote): no decide, no ack.  Decisions equal the in-process
+        plane's."""
+        from repro.engine.pipeline.transport import LoopbackTransport
+
+        involved = {
+            node: len(windows)
+            for node, windows in involvement(3, nodes=4, num_txns=24).items()
+        }
+        sent: dict[int, list] = {node: [] for node in range(4)}
+        send = LoopbackTransport.send
+
+        def spy(transport, node_id, message):
+            sent[node_id].append(message[0])
+            return send(transport, node_id, message)
+
+        monkeypatch.setattr(LoopbackTransport, "send", spy)
+        encoded = []
+        monkeypatch.setattr(
+            transport,
+            "encode_payload",
+            lambda message, encode=encode_payload: encoded.append(1)
+            or encode(message),
+        )
+        txns, log = make_workload(3, num_txns=24)
+        base = baseline(txns, log)
+        got, snap = run_recoverable(txns, log, nodes=4)
+        assert report_tuple(got) == report_tuple(base)
+        ipc = snap["parallel"]["ipc"]
+        assert ipc["window_aborts"] == 0
+        for node, kinds in sent.items():
+            assert kinds == ["begin"] + ["prepare"] * involved[node]
+        assert ipc["prepares"] == sum(involved.values())
+        assert len(encoded) == 2 * (4 + ipc["prepares"])
+
     def test_service_validates_transport_knobs(self):
         with pytest.raises(ValueError, match="transport"):
             TransactionService(k=2, n_shards=2, transport="carrier-pigeon")
@@ -485,6 +556,39 @@ class TestScriptedFaults:
             # Prepared-but-undecided at restart: resolved from the WAL.
             assert ipc["resolved_windows"] >= 1
 
+    def test_pre_commit_crash_on_a_piggybacked_decision(self, monkeypatch):
+        """A node learns its window's commit on its next prepare frame;
+        dying on that frame, before logging it, leaves the window
+        prepared-but-undecided.  That round is presumed aborted, the
+        restarted node redoes the commit from the coordinator WAL, and
+        the run equals the fault-free one."""
+        from repro.engine.pipeline.recovery import DataNode
+
+        windows = involvement(1)[0]
+        crashed = []
+        handle = DataNode.handle
+
+        def spy(node, frame):
+            try:
+                return handle(node, frame)
+            except NodeCrash as crash:
+                crashed.append((crash.phase, crash.window, decode_payload(frame)))
+                raise
+
+        monkeypatch.setattr(DataNode, "handle", spy)
+        plan = FaultPlan(
+            [Fault("crash", windows[0], node=0, phase=PRE_COMMIT)]
+        )
+        _got, snap = self.check_plan(plan)
+        ((phase, window, message),) = crashed
+        assert (phase, window) == (PRE_COMMIT, windows[0])
+        assert message[0] == "prepare" and message[3] == windows[0]
+        assert message[1] == windows[1]
+        ipc = snap["parallel"]["ipc"]
+        assert ipc["window_aborts"] == 1
+        assert ipc["node_restarts"] == 1
+        assert ipc["resolved_windows"] == 1
+
     @pytest.mark.parametrize("kind", MESSAGE_FAULTS)
     @pytest.mark.parametrize("message", MESSAGE_KINDS)
     def test_message_faults_recover_identically(self, kind, message):
@@ -508,7 +612,8 @@ class TestScriptedFaults:
         whole run; a vote is only needed until the back-to-back duplicate
         ``prepare`` has been answered, so it goes when the decision is
         logged — and duplicated prepares / decides still recover
-        bit-identically."""
+        bit-identically.  A ``decide`` fault acts on the prepare frame
+        that carries the window's commit."""
         from repro.engine.pipeline.recovery import DataNode
 
         windows = involvement(1)[0]
@@ -521,17 +626,55 @@ class TestScriptedFaults:
         held = []
         handle = DataNode.handle
 
-        def spy(node, message):
-            reply = handle(node, message)
-            held.append((message[0], len(node._votes)))
+        def spy(node, frame):
+            reply = handle(node, frame)
+            message = decode_payload(frame)
+            decided = message[3] if message[0] == "prepare" else None
+            if message[0] == "decide":
+                decided = message[1]
+            if decided is not None:
+                assert decided not in node._votes
+            held.append((decided, len(node._votes)))
             return reply
 
         monkeypatch.setattr(DataNode, "handle", spy)
         self.check_plan(plan)
-        decided = [votes for kind, votes in held if kind == "decide"]
+        decided = [votes for window, votes in held if window is not None]
         assert len(decided) > len(windows)  # both nodes, every window
-        assert set(decided) == {0}
-        assert max(votes for _kind, votes in held) == 1
+        assert max(votes for _window, votes in held) == 1
+
+    def test_prepare_carries_the_previous_commit(self, monkeypatch):
+        """Fault-free, a commit travels on no frame of its own: each
+        prepare names the node's previous window, which committed, and
+        the node logs that frame as one line, byte for byte."""
+        from repro.engine.pipeline.recovery import DataNode
+
+        frames: dict[int, list] = {0: [], 1: []}
+        lines: dict[int, list] = {0: [], 1: []}
+        handle = DataNode.handle
+
+        def spy(node, frame):
+            reply = handle(node, frame)
+            frames[node.node_id].append(frame)
+            with open(node._log.path, "rb") as log:
+                lines[node.node_id] = log.read().splitlines()
+            return reply
+
+        monkeypatch.setattr(DataNode, "handle", spy)
+        txns, log = make_workload(1, num_txns=12)
+        got, snap = run_recoverable(txns, log)
+        assert report_tuple(got) == report_tuple(baseline(txns, log))
+        inv = involvement(1)
+        for node, windows in inv.items():
+            # The node's log is exactly the frames it was sent.
+            assert lines[node] == frames[node]
+            messages = [decode_payload(frame) for frame in frames[node]]
+            assert [m[0] for m in messages] == ["begin"] + ["prepare"] * len(
+                windows
+            )
+            prepares = messages[1:]
+            assert [m[1] for m in prepares] == windows
+            assert [m[3] for m in prepares] == [None] + windows[:-1]
 
     def test_node_state_is_bounded_by_undecided_windows(self, monkeypatch):
         """A node kept every window's payload, verdict and applied mark
@@ -550,12 +693,14 @@ class TestScriptedFaults:
         held = []
         handle = DataNode.handle
 
-        def spy(node, message):
-            reply = handle(node, message)
-            if message[0] == "decide":
-                window = message[1]
+        def spy(node, frame):
+            reply = handle(node, frame)
+            message = decode_payload(frame)
+            if message[0] == "prepare" and message[3] is not None:
                 for value in containers(node):
-                    assert window not in value, (window, value)
+                    assert message[3] not in value, (message[3], value)
+                # Fault-free, the window just prepared is all it holds.
+                assert node.undecided() == [message[1]]
             held.append(sum(len(value) for value in containers(node)))
             return reply
 
@@ -598,43 +743,68 @@ class TestScriptedFaults:
         """Faults late in a long run: a dropped vote rolls the other
         node's tentatively applied window back and restarts node 0, a
         pre-commit crash makes node 1 redo a commit after restart.  Each
-        rebuild replays a long committed prefix from the node's log,
+        rebuild streams a long committed prefix from the node's log,
         and the run still bit-equals the fault-free one."""
         inv = involvement(1, num_txns=120)
         last = inv[0][-1]
         assert last in inv[1]  # node 1 holds a tentative copy to undo
-        late = max(window for window in inv[1] if window < last)
+        # The dropped vote aborts ``last``; its retry is window
+        # last + 1, and node 1 learns that commit on its next prepare.
+        assert max(inv[1]) > last
         plan = FaultPlan(
             [
-                Fault("crash", late, node=1, phase=PRE_COMMIT),
                 Fault("drop", last, node=0, phase="vote"),
+                Fault("crash", last + 1, node=1, phase=PRE_COMMIT),
             ]
         )
         lengths = []
-        replay = DurableLog.replay
-
         coordinator = []
+        scan = DurableLog.scan
 
-        def spy(log):
-            records = replay(log)
+        def spy(log, *args):
+            count = 0
+            for record in scan(log, *args):
+                count += 1
+                yield record
             if log.path.endswith("coordinator.wal"):
-                coordinator.append(len(records))
+                coordinator.append(count)
             else:
-                lengths.append(len(records))
-            return records
+                lengths.append(count)
 
-        monkeypatch.setattr(DurableLog, "replay", spy)
+        monkeypatch.setattr(DurableLog, "scan", spy)
         _got, snap = self.check_plan(plan, num_txns=120)
         ipc = snap["parallel"]["ipc"]
         assert ipc["window_aborts"] >= 1
         assert ipc["resolved_windows"] >= 2
-        # Node 1's restart, node 1's rollback and node 0's restart each
-        # read two records for every window the node committed.
+        # Node 1's rollback, node 0's restart and node 1's restart each
+        # read one frame for every window the node took part in.
         long = [length for length in lengths if length > len(inv[0])]
         assert len(long) == 3, lengths
         # The coordinator answers each restarted node's undecided
         # windows from one replay of its WAL.
         assert len(coordinator) == 2 and min(coordinator) > last, coordinator
+
+    def test_death_after_the_last_vote_is_healed_by_the_next_run(self):
+        """Nothing follows a node's last vote of a run, so a crash right
+        after it goes unnoticed until the next run's ``begin``: the node
+        is restarted there, and that run equals the fault-free one."""
+        last = involvement(1)[0][-1]
+        plan = FaultPlan([Fault("crash", last, node=0, phase=POST_VOTE)])
+        txns, log = make_workload(1)
+        base = baseline(txns, log)
+        service = TransactionService(
+            k=2, n_shards=4, parallel=2, window=4, transport="loopback",
+            fault_plan=plan,
+        )
+        with service:
+            for _run in range(2):
+                service.submit_programs(txns)
+                assert report_tuple(service.run(schedule=log)) == (
+                    report_tuple(base)
+                )
+            ipc = service.stage_snapshot()["parallel"]["ipc"]
+        assert plan.pending() == 0
+        assert ipc["node_restarts"] == 1
 
     def test_torn_wal_presumes_abort_and_retries(self):
         plan = FaultPlan([Fault("torn-wal", 0)])
@@ -644,17 +814,23 @@ class TestScriptedFaults:
 
     def test_compound_plan(self):
         inv = involvement(1)
-        first0, first1 = inv[0][0], inv[1][0]
-        # post-vote and pre-commit crashes commit their window, so they
-        # never shift later window ids — the torn-wal target still
-        # lands even though it is scripted after two crashes.
-        plan = FaultPlan(
-            [
-                Fault("crash", first0, node=0, phase=POST_VOTE),
-                Fault("crash", first1, node=1, phase=PRE_COMMIT),
-                Fault("torn-wal", max(first0, first1) + 1),
-            ]
+        first1 = inv[1][0]
+        # node 1 learns first1's commit on its next prepare, dies there,
+        # and that round is presumed aborted: discover node 0's first
+        # window under that fault, then a round that commits after both.
+        crashes = [Fault("crash", first1, node=1, phase=PRE_COMMIT)]
+        first0 = min(
+            window
+            for window, nodes in committed_rounds(crashes)
+            if 0 in nodes
         )
+        crashes.append(Fault("crash", first0, node=0, phase=POST_VOTE))
+        torn = min(
+            window
+            for window, _nodes in committed_rounds(crashes)
+            if window > first0
+        )
+        plan = FaultPlan(crashes + [Fault("torn-wal", torn)])
         _got, snap = self.check_plan(plan)
         ipc = snap["parallel"]["ipc"]
         assert ipc["node_restarts"] >= 2
@@ -791,14 +967,18 @@ class TestTcpTransport:
             key=lambda pair: pair[1],
         )
         node_b = 1 - node_a
-        win_b = inv[node_b][0]
-        # The dropped decide does not shift later window ids (the
-        # window still commits), so the delayed vote target holds.
+        # win_a still commits, but the prepare that would carry its
+        # decision is dropped and that round presumed aborted: the
+        # delayed vote's target is discovered under the dropped decide
+        # (loopback window ids equal TCP's).
+        dropped = [Fault("drop", win_a, node=node_a, phase="decide")]
+        win_b = min(
+            window
+            for window, nodes in committed_rounds(dropped)
+            if node_b in nodes
+        )
         plan = FaultPlan(
-            [
-                Fault("drop", win_a, node=node_a, phase="decide"),
-                Fault("delay", win_b, node=node_b, phase="vote"),
-            ]
+            dropped + [Fault("delay", win_b, node=node_b, phase="vote")]
         )
         got, snap = run_recoverable(
             txns, log, transport="tcp", fault_plan=plan
