@@ -6,7 +6,10 @@ writes, per run, every ``ExecutionReport`` field, every
 ``executor.stats`` counter and the whole ``stage_snapshot()``.
 ``python benchmarks/diff_windowed_lane.py compare A.json B.json`` prints
 the keys on which two dumps differ (nothing when they agree) and the
-totals that show the interesting paths were reached.
+totals that show the interesting paths were reached.  Only runs and
+fields both dumps hold are compared; a run or a field that one side
+lacks (a configuration or a counter added or removed between the two)
+is listed on its own and does not count as a difference.
 
 Usage for a refactor of ``engine/pipeline/service.py``: dump once with
 ``PYTHONPATH=<parent checkout>/src``, once with ``PYTHONPATH=src``,
@@ -72,14 +75,15 @@ CONFIGS = {
     ),
     # Sequential lanes over the same streams.
     "seq-mt2-s2": dict(k=2, n_shards=2),
-    "seq-mt2-s2-batch4": dict(k=2, n_shards=2, batch_size=4),
+    "seq-mt2-s2-backoff": dict(k=2, n_shards=2, retry_policy="capped-backoff"),
     "seq-mt2-s2-global": dict(k=2, n_shards=2, retry_policy="global-restart"),
-    "seq-mt2-s2-batch4-global": dict(
-        k=2, n_shards=2, batch_size=4, retry_policy="global-restart"
+    "seq-mt2-s2-backoff-partial": dict(
+        k=2, n_shards=2, retry_policy="capped-backoff", rollback="partial"
     ),
     "seq-mvmt3-s1": dict(k=3, protocol="mvmt", max_attempts=100),
-    "seq-mvmt3-s4-batch4": dict(
-        k=3, n_shards=4, protocol="mvmt", batch_size=4, max_attempts=5
+    "seq-mvmt3-s4-backoff": dict(
+        k=3, n_shards=4, protocol="mvmt", retry_policy="capped-backoff",
+        max_attempts=5,
     ),
 }
 
@@ -163,26 +167,35 @@ def compare(path_a: str, path_b: str) -> int:
         a = json.load(handle)
     with open(path_b) as handle:
         b = json.load(handle)
+    for side, only in (("A", set(a) - set(b)), ("B", set(b) - set(a))):
+        if only:
+            print(f"{len(only)} runs only in {side}: "
+                  + ", ".join(sorted({key.split('/')[0] for key in only})))
     differing = 0
     by_field: dict[str, int] = {}
+    one_sided: dict[str, int] = {}
     totals: dict[str, int] = {}
     windowed = 0
-    for key in sorted(set(a) | set(b)):
+    shared = sorted(set(a) & set(b))
+    for key in shared:
         flat_a: dict = {}
         flat_b: dict = {}
-        _flatten("", a.get(key, {}), flat_a)
-        _flatten("", b.get(key, {}), flat_b)
+        _flatten("", a[key], flat_a)
+        _flatten("", b[key], flat_b)
+        for name in set(flat_a) ^ set(flat_b):
+            label = f"{name} (only in {'A' if name in flat_a else 'B'})"
+            one_sided[label] = one_sided.get(label, 0) + 1
         fields = sorted(
             name
-            for name in set(flat_a) | set(flat_b)
-            if flat_a.get(name) != flat_b.get(name)
+            for name in set(flat_a) & set(flat_b)
+            if flat_a[name] != flat_b[name]
         )
         if fields:
             differing += 1
             print(f"DIFF {key}:")
             for name in fields:
                 by_field[name] = by_field.get(name, 0) + 1
-                print(f"   {name}: {flat_a.get(name)!r} -> {flat_b.get(name)!r}")
+                print(f"   {name}: {flat_a[name]!r} -> {flat_b[name]!r}")
         if not key.startswith("seq-"):
             windowed += 1
             for name in (
@@ -194,10 +207,13 @@ def compare(path_a: str, path_b: str) -> int:
                 "stats.dependency_cycle_restarts",
             ):
                 totals[name] = totals.get(name, 0) + a[key].get(name, 0)
+    for name, count in sorted(one_sided.items()):
+        print(f"field {name} in {count} runs")
     for name, count in sorted(by_field.items()):
         print(f"field {name} differs in {count} runs")
     print(
-        f"{len(a)} runs ({windowed} windowed), {differing} differ; "
+        f"{len(shared)} shared runs ({windowed} windowed), "
+        f"{differing} differ; "
         "windowed totals in the first dump: "
         + ", ".join(f"{n.split('.')[1]}={v}" for n, v in sorted(totals.items()))
     )

@@ -60,12 +60,14 @@ class MTkStarScheduler(Instrumented, Scheduler):
     # ------------------------------------------------------------------
     def reset(self) -> None:
         # PREFIX has k-1 columns, LASTCOL has k columns (1-based access).
-        # Rows live in dense txn-id-indexed slabs (ids are small consecutive
-        # integers); a slot is None until the transaction is first seen.
-        self._prefix: list[list[Element] | None] = [
-            [UNDEFINED] * (self.k - 1)
-        ]
-        self._lastcol: list[list[Element] | None] = [[UNDEFINED] * self.k]
+        # Rows are keyed by transaction id; a row exists once the
+        # transaction is first seen.
+        self._prefix: dict[int, list[Element]] = {
+            VIRTUAL_TXN: [UNDEFINED] * (self.k - 1)
+        }
+        self._lastcol: dict[int, list[Element]] = {
+            VIRTUAL_TXN: [UNDEFINED] * self.k
+        }
         # The virtual T0's vector is <0, *, ..., *> under every subprotocol:
         # element 1 is PREFIX(1) for MT(2).. and LASTCOL(1) for MT(1).
         if self.k > 1:
@@ -85,14 +87,9 @@ class MTkStarScheduler(Instrumented, Scheduler):
     # Row access helpers
     # ------------------------------------------------------------------
     def _rows(self, txn: int) -> tuple[list[Element], list[Element]]:
-        prefix = self._prefix
-        if txn >= len(prefix):
-            grow = txn + 1 - len(prefix)
-            prefix.extend([None] * grow)
-            self._lastcol.extend([None] * grow)
-        row = prefix[txn]
+        row = self._prefix.get(txn)
         if row is None:
-            row = prefix[txn] = [UNDEFINED] * (self.k - 1)
+            row = self._prefix[txn] = [UNDEFINED] * (self.k - 1)
             self._lastcol[txn] = [UNDEFINED] * self.k
         return row, self._lastcol[txn]
 
@@ -220,6 +217,5 @@ class MTkStarScheduler(Instrumented, Scheduler):
             return None
         return {
             txn: tuple(prefix) + tuple(self._lastcol[txn])
-            for txn, prefix in enumerate(self._prefix)
-            if prefix is not None
+            for txn, prefix in sorted(self._prefix.items())
         }

@@ -6,13 +6,12 @@ what to read.  Following Bohm's split of logical version ordering from
 physical installation, this module separates them:
 
 * :class:`VersionChain` — the one chain representation shared by the
-  scheduler, :class:`~repro.storage.versioned.MultiversionStore` and the
-  :class:`~repro.storage.backend.VersionedBackend`: versions oldest →
-  newest (the virtual ``T_0`` owns the base version), each optionally
-  carrying a value, plus the recorded ``(reader, source)`` pairs writes
-  must validate against, how many of them each reader holds, and, per
-  version, how many of those records are already known to sit below its
-  writer (the *validated prefix*).
+  scheduler and :class:`~repro.storage.versioned.MultiversionStore`:
+  versions oldest → newest (the virtual ``T_0`` owns the base version),
+  each optionally carrying a value, plus the recorded ``(reader,
+  source)`` pairs writes must validate against, how many of them each
+  reader holds, and, per version, how many of those records are already
+  known to sit below its writer (the *validated prefix*).
 * :class:`VisibilityEngine` — **pure** decisions.  Given a comparison
   oracle over transaction ids it answers "which version does this vector
   see" (:meth:`resolve_read`, a gallop down the ordered chain), "may this
@@ -107,10 +106,8 @@ class VersionChain:
 
     __slots__ = ("versions", "reads", "reader_counts")
 
-    def __init__(self, initial: Any = NO_VALUE) -> None:
-        self.versions: list[ChainVersion] = [
-            ChainVersion(VIRTUAL_TXN, initial)
-        ]
+    def __init__(self) -> None:
+        self.versions: list[ChainVersion] = [ChainVersion(VIRTUAL_TXN)]
         #: accepted reads in acceptance order: (reader, source writer).
         self.reads: list[tuple[int, int]] = []
         #: reader -> how many of ``reads`` it holds (readers with none

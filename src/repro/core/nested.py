@@ -175,12 +175,6 @@ class HierarchicalScheduler(Instrumented, Scheduler):
             self._wt[x] = (i, self._seq)
         return Decision(DecisionStatus.ACCEPT, op)
 
-    def _rt_of(self, item: str) -> int:
-        return self._rt.get(item, (VIRTUAL_TXN, 0))[0]
-
-    def _wt_of(self, item: str) -> int:
-        return self._wt.get(item, (VIRTUAL_TXN, 0))[0]
-
     def _enforce(self, j: int, i: int, item: str) -> bool:
         """Encode ``T_j -> T_i`` at the highest level where their group
         paths differ; same-path transactions use the transaction table."""

@@ -3,10 +3,10 @@
 Stage map (one dispatched operation, left to right)::
 
     Session/TransactionService        (sessions.py)   client programs
-      └─> AdmissionQueue + RetryPolicy (admission.py)  batching, bounds,
-            └─> ShardSet + ShardRouter (shard.py)      backoff
-                  └─> MT(k)/DMT(k) scheduler           partitioned,
-                        └─> StorageBackend + UndoLog   cross-shard DSR
+      └─> AdmissionQueue + RetryPolicy (admission.py)  arrivals, backoff
+            └─> ShardSet + ShardRouter (shard.py)      partitioned,
+                  └─> MT(k)/DMT(k) scheduler           cross-shard DSR
+                        └─> StorageBackend + UndoLog
 
 :class:`PipelineExecutor` (service.py) drives the stages.  Names load on
 first access (:mod:`repro._lazy`), so a one-shard run never compiles the

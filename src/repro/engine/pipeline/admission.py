@@ -1,4 +1,4 @@
-"""Admission stage: work queue, batching, backpressure, retry policy.
+"""Admission stage: work queue and retry policy.
 
 The legacy executor hard-wired its retry story into ``_handle_abort``:
 aborted transactions were re-appended at the tail of one flat work list,
@@ -15,25 +15,18 @@ pluggable pieces:
   epoch-reset path (abort all actives, reinitialize, restart) that the
   composite scheduler forces when it runs out of subprotocols.
 
-* :class:`AdmissionQueue` — *where* admitted work waits.  It supports
-  seeded deterministic batching (the schedule is released in
-  ``batch_size`` slices, the next batch entering only when the queue
-  drains) and a bounded live queue with backpressure accounting: when a
-  release would push the queue past ``capacity``, the surplus is held
-  back and an ``admission wait`` is counted.  All of it is driven by the
-  run's explicit :class:`random.Random`, never by module-level
-  randomness, so a seed fully determines the admission order.
+* :class:`AdmissionQueue` — *where* admitted work waits: the loaded
+  schedule, delayed retries maturing in simulated time, and open-loop
+  arrivals.
 
-With no capacity, no batching and a zero-delay policy the queue is
+With no open-loop arrivals and a zero-delay policy the queue is
 *plain*: the service then runs the legacy tight loop directly over the
-backing list, so the compatibility hot path pays nothing for the new
-stage.
+backing list, so the compatibility hot path pays nothing for the stage.
 """
 
 from __future__ import annotations
 
 import heapq
-from random import Random
 from typing import Iterable, Sequence
 
 
@@ -116,30 +109,15 @@ def resolve_policy(policy: RetryPolicy | str | None) -> RetryPolicy:
 
 
 class AdmissionQueue:
-    """The pipeline's work queue: batching, bounds, delayed retries.
+    """The pipeline's work queue: the schedule plus delayed retries.
 
     The queue dispenses *transaction ids*; one id is consumed per
     operation dispatched (the paper's executor model).  Simulated time
     is the number of :meth:`pop` calls that returned work.
     """
 
-    def __init__(
-        self,
-        retry_policy: RetryPolicy | str | None = None,
-        capacity: int | None = None,
-        batch_size: int | None = None,
-        rng: Random | None = None,
-        shuffle_batches: bool = False,
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive when set")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be positive when set")
+    def __init__(self, retry_policy: RetryPolicy | str | None = None) -> None:
         self.retry_policy = resolve_policy(retry_policy)
-        self.capacity = capacity
-        self.batch_size = batch_size
-        self.shuffle_batches = shuffle_batches
-        self._rng = rng
         self.begin(())
 
     # ------------------------------------------------------------------
@@ -147,42 +125,27 @@ class AdmissionQueue:
     def is_plain(self) -> bool:
         """True when the queue degenerates to the legacy flat list (the
         service then runs its inline fast lane over it)."""
-        return (
-            not self._open_loop
-            and self.capacity is None
-            and self.batch_size is None
-            and not self.retry_policy.delays
-        )
+        return not self._open_loop and not self.retry_policy.delays
 
     # ------------------------------------------------------------------
-    def begin(
-        self, txn_ids: Sequence[int], rng: Random | None = None
-    ) -> None:
+    def begin(self, txn_ids: Sequence[int]) -> None:
         """Load a fresh schedule; resets every statistic and clock."""
-        if rng is not None:
-            self._rng = rng
         self.retry_policy.reset()
-        self._queue: list[int] = []
+        self._queue: list[int] = list(txn_ids)
         self._pointer = 0
         self._tick = 0
         self._seq = 0
         self._delayed: list[tuple[int, int, int]] = []  # (ready, seq, txn)
-        self._pending: list[int] = []  # admitted but not yet released
-        self.admitted = 0
+        self.admitted = len(self._queue)
         self.retries = 0
         self.delayed_retries = 0
-        self.waits = 0
-        self.batches = 0
-        self.max_depth = 0
+        self.max_depth = len(self._queue)
         self._open_loop = False
         self._arrivals: dict[int, int] = {}
         self._latencies: list[int] = []
-        self._load(txn_ids)
 
     def begin_open_loop(
-        self,
-        entries: Iterable[tuple[int, int, int]],
-        rng: Random | None = None,
+        self, entries: Iterable[tuple[int, int, int]]
     ) -> None:
         """Load an **open-loop** schedule: *entries* are
         ``(txn_id, num_operations, arrival_tick)`` triples; each
@@ -195,7 +158,7 @@ class AdmissionQueue:
         and :meth:`pop` idles the clock across arrival gaps exactly as
         it does for delayed retries.  Commit latency (``tick - arrival``)
         is recorded per transaction via :meth:`note_commit`."""
-        self.begin((), rng=rng)
+        self.begin(())
         self._open_loop = True
         arrivals = self._arrivals
         total = 0
@@ -225,12 +188,6 @@ class AdmissionQueue:
         """Commit latencies in ticks, in commit order (open-loop runs)."""
         return self._latencies
 
-    def _load(self, txn_ids: Sequence[int]) -> None:
-        ids = list(txn_ids)
-        self.admitted = len(ids)
-        self._pending = ids
-        self._release()
-
     # ------------------------------------------------------------------
     def backing_list(self) -> list[int]:
         """Plain fast lane: the raw backing list, schedule preloaded."""
@@ -250,33 +207,6 @@ class AdmissionQueue:
             self.delayed_retries += 1
 
     # ------------------------------------------------------------------
-    def _release(self) -> None:
-        """Move pending work into the live queue, one batch at a time,
-        respecting the capacity bound (surplus waits; counted)."""
-        if not self._pending:
-            return
-        count = (
-            len(self._pending)
-            if self.batch_size is None
-            else min(self.batch_size, len(self._pending))
-        )
-        if self.capacity is not None:
-            space = self.capacity - (len(self._queue) - self._pointer)
-            if space < count:
-                # Backpressure: admit what fits (always at least one
-                # entry when the queue is empty, to guarantee progress).
-                self.waits += 1
-                count = max(space, 1 if self._pointer >= len(self._queue) else 0)
-        if count <= 0:
-            return
-        batch = self._pending[:count]
-        del self._pending[:count]
-        if self.shuffle_batches and self._rng is not None:
-            self._rng.shuffle(batch)
-        self._queue.extend(batch)
-        self.batches += 1
-        self.note_depth(len(self._queue) - self._pointer)
-
     def _release_ready(self) -> None:
         delayed = self._delayed
         tick = self._tick
@@ -301,10 +231,6 @@ class AdmissionQueue:
                 self._tick = max(self._tick, self._delayed[0][0])
                 self._release_ready()
                 continue
-            if self._pending:
-                self._release()
-                if self._pointer < len(self._queue):
-                    continue
             return None
 
     # ------------------------------------------------------------------
@@ -340,8 +266,9 @@ class AdmissionQueue:
             "admitted": self.admitted,
             "retries": self.retries,
             "delayed_retries": self.delayed_retries,
-            "waits": self.waits,
-            "batches": self.batches,
+            # Nothing bounds the queue; the key stays because the perf
+            # harness's ledger reads it (ADMISSION_COUNTERS).
+            "waits": 0,
             "max_queue_depth": self.max_depth,
         }
         if self._open_loop:

@@ -488,24 +488,12 @@ class ParallelShardSet:
     replies, which window planning claims and ships.
     """
 
-    def __init__(
-        self,
-        spec: ShardSpec,
-        window: int = DEFAULT_WINDOW,
-        router: ShardRouter | None = None,
-    ) -> None:
+    def __init__(self, spec: ShardSpec, window: int = DEFAULT_WINDOW) -> None:
         if window < 1:
             raise ValueError("window must be positive")
-        if spec.retain_locks or spec.sync_interval is not None:
-            raise ValueError(
-                "retain_locks / sync_interval are DMT(k) simulation "
-                "options; the parallel plane does not model them"
-            )
         self.spec = spec
         self.window = int(window)
-        self.router = router or ShardRouter(spec.n_shards)
-        if self.router.n_shards != spec.n_shards:
-            raise ValueError("router and spec disagree on shard count")
+        self.router = ShardRouter(spec.n_shards)
         self.shards = [Shard(index) for index in range(spec.n_shards)]
         self._config = (
             spec.k, spec.read_rule, spec.anti_starvation, spec.protocol,

@@ -126,8 +126,9 @@ class DataNode:
         self._prepared: dict[int, tuple] = {}
         self._votes: dict[int, tuple] = {}
         self._applied: set[int] = set()
+        # Built on the first frame: ``begin`` starts fresh without
+        # reading the log, anything else recovers from it first.
         self._host: _WorkerHost | None = None
-        self.recover()
 
     # ------------------------------------------------------------------
     def recover(self) -> None:
@@ -172,6 +173,8 @@ class DataNode:
         are logged as received."""
         message = wire.decode_payload(frame)
         kind = message[0]
+        if self._host is None and kind != "begin":
+            self.recover()
         if kind == "prepare":
             _kind, window, payload, decided = message
             if decided is not None and self._plan.crash_at(
@@ -266,7 +269,6 @@ class RecoverableShardSet(ParallelShardSet):
         state_dir: str | None = None,
         max_window_attempts: int = 8,
         restart_order: str = "sorted",
-        **kwargs: Any,
     ) -> None:
         if transport not in ("loopback", "tcp"):
             raise ValueError(
@@ -279,7 +281,7 @@ class RecoverableShardSet(ParallelShardSet):
             raise ValueError("max_window_attempts must be >= 1")
         if workers < 0:
             raise ValueError("workers (data nodes) must be >= 0")
-        super().__init__(spec, window=window, **kwargs)
+        super().__init__(spec, window=window)
         self.workers = int(workers)
         self._assign(max(1, self.workers))
         self.transport_kind = transport

@@ -5,8 +5,8 @@ and behind the :class:`~repro.engine.pipeline.sessions.TransactionService`
 frontend.  One dispatched operation flows through four stages:
 
 1. **admission** — the :class:`~repro.engine.pipeline.admission.
-   AdmissionQueue` dispenses the next transaction id (batching, bounds
-   and retry delays live there);
+   AdmissionQueue` dispenses the next transaction id (retry delays and
+   open-loop arrivals live there);
 2. **shard** — when a :class:`~repro.engine.pipeline.shard.ShardSet` is
    attached, the operation is accounted to the shard owning its item
    (the scheduler itself is the shard set's cross-shard-ordered
@@ -24,12 +24,13 @@ Three lanes drive the same stage methods (``_handle_abort``,
 ``_break_dependency_cycle``, ``_global_restart``):
 
 * the **plain fast lane** — taken when the admission queue is plain
-  (no batching, no capacity, zero-delay retries, i.e. the default
-  configuration): the loop iterates the queue's backing list with a
-  local pointer, exactly the monolithic executor's loop;
-* the **staged lane** — every other sequential configuration: work is
-  pulled through ``AdmissionQueue.pop()``, which meters batches, applies
-  backpressure and matures delayed retries in simulated time;
+  (closed loop, zero-delay retries, i.e. the default configuration):
+  the loop iterates the queue's backing list with a local pointer,
+  exactly the monolithic executor's loop;
+* the **staged lane** — every other sequential configuration (open-loop
+  arrivals or a delaying retry policy): work is pulled through
+  ``AdmissionQueue.pop()``, which matures arrivals and delayed retries
+  in simulated time;
 * the **windowed lane** — the parallel plane: windows of operations are
   decided by per-shard engines (in-process, or on 2PC data nodes) and
   merged here in admission order.
@@ -51,9 +52,10 @@ rebinds it.  Every scheduler speaks the lifecycle declared on
 :class:`~repro.core.protocol.Scheduler` (restart, commit, validation,
 commit dependencies), so the executor calls it without probing.
 
-All randomness is an explicit ``random.Random(seed)`` threaded through
-interleaving and admission — never module-level ``random`` — so a seed
-fully determines the ``ExecutionReport`` (see the determinism tests).
+The one source of randomness is the explicit ``random.Random(seed)``
+that interleaves a closed-loop schedule — never module-level ``random``
+— so a seed fully determines the ``ExecutionReport`` (see the
+determinism tests).
 """
 
 from __future__ import annotations
@@ -204,9 +206,9 @@ class PipelineExecutor(Instrumented):
       ("two-phase commit for each write").  Aborts then cost no undo at
       all and a committed transaction can never abort.
 
-    The remaining arguments configure batching, bounded queues,
-    backoff/global-restart retry policies and sharded or windowed
-    scheduling; their defaults are the plain fast lane.
+    The remaining arguments configure backoff/global-restart retry
+    policies and sharded or windowed scheduling; their defaults are the
+    plain fast lane.
     """
 
     def __init__(
@@ -217,9 +219,6 @@ class PipelineExecutor(Instrumented):
         write_policy: str = "immediate",
         rollback: str = "full",
         retry_policy: RetryPolicy | str | None = None,
-        queue_capacity: int | None = None,
-        batch_size: int | None = None,
-        shuffle_batches: bool = False,
         shards: ShardSet | None = None,
         parallel: int | ParallelShardSet | None = None,
         window: int | None = None,
@@ -270,12 +269,7 @@ class PipelineExecutor(Instrumented):
         self.write_policy = write_policy
         self.rollback = rollback
         self._retry_policy = resolve_policy(retry_policy)
-        self._admission = AdmissionQueue(
-            retry_policy=self._retry_policy,
-            capacity=queue_capacity,
-            batch_size=batch_size,
-            shuffle_batches=shuffle_batches,
-        )
+        self._admission = AdmissionQueue(retry_policy=self._retry_policy)
         self._shards = shards
         # Hot-path flags: one attribute read instead of a string compare
         # per operation / per abort.
@@ -308,7 +302,6 @@ class PipelineExecutor(Instrumented):
                 plane = ParallelShardSet(
                     shards.spec,
                     window=window if window is not None else DEFAULT_WINDOW,
-                    router=shards.router,
                 )
                 self._parallel_owned = True
             else:
@@ -318,7 +311,6 @@ class PipelineExecutor(Instrumented):
                     shards.spec,
                     workers=int(parallel),
                     window=window if window is not None else DEFAULT_WINDOW,
-                    router=shards.router,
                     transport=transport,
                     fault_plan=fault_plan,
                     state_dir=state_dir,
@@ -340,7 +332,6 @@ class PipelineExecutor(Instrumented):
                 "commits",
                 "failures",
                 "global_restarts",
-                "admission_waits",
                 "retries_delayed",
                 "commit_parks",
                 "cascade_restarts",
@@ -386,14 +377,13 @@ class PipelineExecutor(Instrumented):
         mature at ``arrival + offset`` ticks and commit latency is
         tracked per transaction (see ``AdmissionQueue.snapshot()``).
         """
-        rng = Random(seed)
         if arrivals is not None:
             if schedule is not None:
                 raise ValueError("arrivals and schedule are mutually exclusive")
         elif schedule is None:
             from ...model.generator import interleave
 
-            schedule = interleave(transactions, rng)
+            schedule = interleave(transactions, Random(seed))
         self.reset_observability()
         self.scheduler.reset()
         shards = self._shards
@@ -412,11 +402,10 @@ class PipelineExecutor(Instrumented):
                 [
                     (t.txn_id, t.num_operations, arrivals[t.txn_id])
                     for t in transactions
-                ],
-                rng=rng,
+                ]
             )
         else:
-            admission.begin([op.txn for op in schedule], rng=rng)
+            admission.begin([op.txn for op in schedule])
         with self.metrics.timer("execute"):
             if self.parallel_plane is not None:
                 try:
@@ -438,7 +427,6 @@ class PipelineExecutor(Instrumented):
         self.metrics.set_gauge("committed", len(report.committed))
         self.metrics.set_gauge("failed", len(report.failed))
         self.metrics.set_gauge("queue_depth_max", admission.max_depth)
-        self.metrics.inc("admission_waits", admission.waits)
         self.metrics.inc("retries_delayed", admission.delayed_retries)
         return report
 
@@ -487,8 +475,8 @@ class PipelineExecutor(Instrumented):
         undo: UndoLog,
         report: ExecutionReport,
     ) -> None:
-        """Staged lane: pull work through the admission queue (batching,
-        backpressure, delayed retries in simulated time)."""
+        """Staged lane: pull work through the admission queue (open-loop
+        arrivals and delayed retries in simulated time)."""
         committed = report.committed
         failed = report.failed
         while True:

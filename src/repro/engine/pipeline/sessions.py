@@ -26,16 +26,17 @@ Example::
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ...model.log import Log
 from ...model.operations import Operation, OpKind, Transaction
-from ...storage.backend import StorageBackend
 from .admission import RetryPolicy
 from .report import ExecutionReport
-from .router import ShardRouter
 from .service import PipelineExecutor
 from .shard import ShardSet, ShardSpec
+
+if TYPE_CHECKING:
+    from ...storage.backend import StorageBackend
 
 
 class SessionError(RuntimeError):
@@ -126,17 +127,11 @@ class TransactionService:
         n_shards: int = 1,
         read_rule: str = "line9",
         protocol: str = "mtk",
-        retain_locks: bool = False,
-        sync_interval: int | None = None,
-        router: ShardRouter | None = None,
         database: StorageBackend | None = None,
         max_attempts: int = 10,
         write_policy: str = "immediate",
         rollback: str = "full",
         retry_policy: RetryPolicy | str | None = None,
-        queue_capacity: int | None = None,
-        batch_size: int | None = None,
-        shuffle_batches: bool = False,
         anti_starvation: bool = False,
         parallel: int | Any | None = None,
         window: int | None = None,
@@ -149,12 +144,10 @@ class TransactionService:
             k=k,
             read_rule=read_rule,
             protocol=protocol,
-            retain_locks=retain_locks,
-            sync_interval=sync_interval,
             anti_starvation=anti_starvation,
             partial_rollback=rollback == "partial",
         )
-        self.shards = ShardSet(spec, router=router)
+        self.shards = ShardSet(spec)
         self.executor = PipelineExecutor(
             self.shards.scheduler,
             database=database,
@@ -162,9 +155,6 @@ class TransactionService:
             write_policy=write_policy,
             rollback=rollback,
             retry_policy=retry_policy,
-            queue_capacity=queue_capacity,
-            batch_size=batch_size,
-            shuffle_batches=shuffle_batches,
             shards=self.shards,
             parallel=parallel,
             window=window,

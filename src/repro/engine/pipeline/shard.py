@@ -42,10 +42,6 @@ class ShardSpec:
     #: (the III-D-6d multiversion rebuild — version chains, abort-free
     #: reads, decentralized per-shard visibility).
     protocol: str = "mtk"
-    #: DMT(k) lock-retention optimization (end of Section V-B).
-    retain_locks: bool = False
-    #: periodic cross-shard counter synchronization (V-B 1b fairness).
-    sync_interval: int | None = None
     #: Section III-D-4 starvation remedy: re-seed an aborted vector past
     #: its blocker so deterministic reject loops cannot recur.  Open-loop
     #: hot-key workloads (the Zipf scenarios) need this to converge.
@@ -116,13 +112,9 @@ class Shard:
 class ShardSet:
     """``n`` shards plus the scheduler that keeps them globally ordered."""
 
-    def __init__(
-        self, spec: ShardSpec, router: ShardRouter | None = None
-    ) -> None:
+    def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        self.router = router or ShardRouter(spec.n_shards)
-        if self.router.n_shards != spec.n_shards:
-            raise ValueError("router and spec disagree on shard count")
+        self.router = ShardRouter(spec.n_shards)
         self.shards = [Shard(index) for index in range(spec.n_shards)]
         self.scheduler = self._build_scheduler()
 
@@ -150,8 +142,6 @@ class ShardSet:
             num_sites=self.spec.n_shards,
             site_of_item=self.router.shard_of_item,
             site_of_txn=self.router.shard_of_txn,
-            retain_locks=self.spec.retain_locks,
-            sync_interval=self.spec.sync_interval,
             anti_starvation=self.spec.anti_starvation,
             partial_rollback=self.spec.partial_rollback,
         )

@@ -7,7 +7,7 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
-    (".backend", ("StorageBackend", "VersionedBackend", "WALBackend")),
+    (".backend", ("StorageBackend",)),
     (".database", ("Database",)),
     (".locks", ("LockManager", "LockMode", "LockOutcome")),
     (".versioned", ("MultiversionStore",)),

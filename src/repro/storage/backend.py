@@ -4,32 +4,15 @@ The pipeline's storage stage only ever needs five operations —
 ``read``/``peek``/``write``/``restore``/``snapshot`` — so that surface
 is the whole :class:`StorageBackend` protocol.  The plain in-memory
 :class:`~repro.storage.database.Database` satisfies it structurally
-(no inheritance needed); this module adds two richer implementations:
-
-* :class:`WALBackend` — a database that also appends every mutation to
-  a redo log.  :meth:`WALBackend.replay` rebuilds the committed state
-  on a fresh instance, which is the crash-recovery story the undo-only
-  executor never had (undo handles aborts; redo handles restarts).
-
-* :class:`VersionedBackend` — keeps the full write history of every
-  item as an append-only version chain, exposing the *latest* version
-  through the flat protocol surface plus ``read_version``/
-  ``versions_of`` for inspection.  This is the single-site analogue of
-  the paper's Section VI-B multiversion idea ("all versions retained,
-  reads never rejected") adapted to the flat executor contract — the
-  vector-indexed store used by the MV scheduler itself lives in
-  :mod:`repro.storage.versioned`.
-
-Everything the executor already does (undo logging, dirty-overwrite
-reparenting) works unchanged on any backend, because
+(no inheritance needed), and so does any store a caller passes as
+``database=``.  Everything the executor does (undo logging,
+dirty-overwrite reparenting) works unchanged on any backend, because
 :class:`~repro.storage.wal.UndoLog` only uses the protocol surface.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
-
-from .database import Database
+from typing import Any, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -55,166 +38,3 @@ class StorageBackend(Protocol):
     def snapshot(self) -> dict[str, Any]:
         """The current committed state as a plain dict."""
         ...
-
-
-class WALBackend(Database):
-    """A database with a write-ahead redo log.
-
-    Every mutation (writes *and* undo restores) is appended to
-    :attr:`log` before it lands, so replaying the log on an empty
-    instance reproduces the exact final state — the recovery invariant
-    ``replay(backend.log) == backend`` is property-tested.
-    """
-
-    def __init__(self, initial: Mapping[str, Any] | None = None) -> None:
-        super().__init__(initial)
-        #: The redo log: ("write" | "restore", item, value) in order.
-        #: Restores with value ``None`` are deletions.
-        self.log: list[tuple[str, str, Any]] = []
-        for item, value in (initial or {}).items():
-            self.log.append(("write", item, value))
-
-    def write(self, item: str, value: Any) -> Any:
-        self.log.append(("write", item, value))
-        return super().write(item, value)
-
-    def restore(self, item: str, value: Any) -> None:
-        self.log.append(("restore", item, value))
-        super().restore(item, value)
-
-    @classmethod
-    def replay(cls, log: Iterable[tuple[str, str, Any]]) -> "WALBackend":
-        """Rebuild state by replaying a redo log onto a fresh backend."""
-        backend = cls()
-        for kind, item, value in log:
-            if kind == "write":
-                Database.write(backend, item, value)
-            elif kind == "restore":
-                Database.restore(backend, item, value)
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown log record kind {kind!r}")
-            backend.log.append((kind, item, value))
-        return backend
-
-
-class VersionedBackend:
-    """Append-only version chains behind the flat protocol surface.
-
-    Built on the repo-wide chain representation
-    (:class:`~repro.core.mvcc.VersionChain`) — the same class the
-    multiversion scheduler and :class:`~repro.storage.versioned.
-    MultiversionStore` order their versions with.  The flat executor
-    contract carries no transaction ids, so each ``write`` installs
-    under a fresh anonymous writer id (negative, so it can never collide
-    with a real transaction or the virtual ``T_0``); ``read`` returns
-    the newest version, and ``restore`` pops dirty versions (an aborted
-    writer's undo truncates the chain back to the restored value) so the
-    executor's rollback story works unchanged.  ``read_version`` and
-    ``versions_of`` expose the history for tests and tooling.
-    """
-
-    def __init__(self, initial: Mapping[str, Any] | None = None) -> None:
-        from ..core.mvcc import VersionChain
-
-        self._chains: dict[str, VersionChain] = {}
-        for item, value in (initial or {}).items():
-            self._chains[item] = VersionChain(value)
-        self._next_anonymous = -1
-        self.reads = 0
-        self.writes = 0
-
-    def _values(self, item: str) -> list[Any]:
-        chain = self._chains.get(item)
-        if chain is None:
-            return []
-        return [
-            version.value
-            for version in chain.versions
-            if version.has_value()
-        ]
-
-    # -- protocol surface ----------------------------------------------
-    def read(self, item: str, default: Any = 0) -> Any:
-        self.reads += 1
-        values = self._values(item)
-        return values[-1] if values else default
-
-    def peek(self, item: str, default: Any = None) -> Any:
-        values = self._values(item)
-        return values[-1] if values else default
-
-    def write(self, item: str, value: Any) -> Any:
-        from ..core.mvcc import VersionChain
-
-        self.writes += 1
-        chain = self._chains.get(item)
-        if chain is None:
-            chain = self._chains[item] = VersionChain()
-        values = self._values(item)
-        previous = values[-1] if values else None
-        chain.install(self._next_anonymous, value)
-        self._next_anonymous -= 1
-        return previous
-
-    def restore(self, item: str, value: Any) -> None:
-        chain = self._chains.get(item)
-        if chain is None:
-            return
-        if value is None:
-            # The item had never been written: drop the chain entirely.
-            del self._chains[item]
-            return
-        # Truncate dirty versions back to the restored value; if it is
-        # not on the chain (reparented before-image), rewrite the tip.
-        versions = chain.versions
-        while len(versions) > 1 and versions[-1].value != value:
-            versions.pop()
-        tip = versions[-1]
-        if tip.has_value() and tip.value == value:
-            return
-        # Nothing matched down to the base version: drop a stale initial
-        # value and reinstate the before-image as the only version.
-        from ..core.mvcc import NO_VALUE
-
-        tip.value = NO_VALUE
-        chain.install(self._next_anonymous, value)
-        self._next_anonymous -= 1
-
-    def snapshot(self) -> dict[str, Any]:
-        snapshot = {}
-        for item in self._chains:
-            values = self._values(item)
-            if values:
-                snapshot[item] = values[-1]
-        return snapshot
-
-    # -- history surface -----------------------------------------------
-    def read_version(self, item: str, index: int, default: Any = None) -> Any:
-        values = self._values(item)
-        try:
-            return values[index]
-        except IndexError:
-            return default
-
-    def versions_of(self, item: str) -> tuple[Any, ...]:
-        return tuple(self._values(item))
-
-    def __len__(self) -> int:
-        return len(self._chains)
-
-    def __contains__(self, item: str) -> bool:
-        return item in self._chains
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, VersionedBackend):
-            return self.snapshot() == other.snapshot()
-        if isinstance(other, (Database, dict)):
-            snapshot = self.snapshot()
-            return snapshot == (
-                other.snapshot() if isinstance(other, Database) else other
-            )
-        return NotImplemented
-
-    # Mutable container defining __eq__: explicitly unhashable, like
-    # Database.
-    __hash__ = None  # type: ignore[assignment]

@@ -137,3 +137,14 @@ class TestStructure:
                 MTkStarScheduler(1).accepts(log)
                 == MTkScheduler(1, read_rule="none").accepts(log)
             )
+
+    def test_negative_txn_ids_get_their_own_rows(self):
+        """A negative id is a transaction like any other: it must not
+        alias the row of another id (a list slab indexed ``[-1]`` handed
+        T-1 the highest id's row)."""
+        for ids in ((2, 1, -1), (2, 1, 3)):
+            star = MTkStarScheduler(2)
+            verdicts = [
+                star.process(write(txn, "x")).status.name for txn in ids
+            ]
+            assert verdicts == ["ACCEPT", "ACCEPT", "ACCEPT"], ids

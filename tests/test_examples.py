@@ -22,6 +22,7 @@ EXPECTED_SNIPPETS = {
     "snapshot_analytics.py": "snapshot consistency verified",
     "paper_tour.py": "tour complete",
     "recovery_demo.py": "bit-identical to the fault-free reference",
+    "service_demo.py": "every variant committed a serializable projection",
 }
 
 

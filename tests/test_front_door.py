@@ -37,7 +37,8 @@ PACKAGES = (
 #: What a default one-shard MT(k) run never needs: the class census, the
 #: oracle, the analysis harnesses, DMT(k)'s message simulation, the
 #: windowed plane, the 2PC data nodes and their transports, the
-#: multiversion scheduler, process spawning and numpy.
+#: multiversion scheduler, the storage-backend protocol (an annotation
+#: only), process spawning and numpy.
 DENY = frozenset(
     {
         "repro.classes",
@@ -48,6 +49,7 @@ DENY = frozenset(
         "repro.engine.pipeline.recovery",
         "repro.engine.pipeline.transport",
         "repro.core.multiversion",
+        "repro.storage.backend",
         "multiprocessing",
         "numpy",
     }

@@ -88,15 +88,8 @@ class TestDeterminism:
         [
             {},
             {"retry_policy": "capped-backoff"},
-            {"batch_size": 3, "queue_capacity": 8},
-            {
-                "retry_policy": "capped-backoff",
-                "batch_size": 4,
-                "queue_capacity": 12,
-                "shuffle_batches": True,
-            },
         ],
-        ids=["plain", "backoff", "batched", "staged-shuffled"],
+        ids=["plain", "backoff"],
     )
     def test_same_seed_same_report(self, kwargs):
         txns = _workload(11)
@@ -191,18 +184,6 @@ class TestShardRouter:
             assert 0 <= shard < 3
             assert router.shard_of_item(item) == shard  # cached path
 
-    def test_custom_functions(self):
-        router = ShardRouter(2, item_fn=len, txn_fn=lambda t: t + 1)
-        assert router.shard_of_item("ab") == 0
-        assert router.shard_of_item("abc") == 1
-        assert router.shard_of_txn(1) == 0
-
-    def test_placement_partitions_items(self):
-        router = ShardRouter(4)
-        items = [f"i{n}" for n in range(40)]
-        groups = router.placement(items)
-        assert sorted(sum(groups.values(), [])) == sorted(items)
-
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
             ShardRouter(0)
@@ -256,8 +237,6 @@ class TestShardSet:
             ShardSpec(n_shards=0)
         with pytest.raises(ValueError):
             ShardSpec(k=0)
-        with pytest.raises(ValueError):
-            ShardSet(ShardSpec(n_shards=2), router=ShardRouter(3))
 
     def test_executor_rejects_foreign_shard_scheduler(self):
         shard_set = ShardSet(ShardSpec(n_shards=2))
@@ -306,23 +285,25 @@ class TestRetryPolicies:
 
     @pytest.mark.parametrize("policy", ["immediate", "global-restart"])
     @pytest.mark.parametrize(
-        "lane",
+        "lane, open_loop",
         [
-            dict(n_shards=2),
-            dict(n_shards=2, batch_size=4),
-            dict(n_shards=2, parallel=0, window=8),
+            (dict(n_shards=2), False),
+            (dict(n_shards=2), True),
+            (dict(n_shards=2, parallel=0, window=8), False),
         ],
         ids=["plain", "staged", "windowed"],
     )
     def test_aborts_counts_rejected_operations_on_every_lane(
-        self, lane, policy
+        self, lane, open_loop, policy
     ):
         """``aborts`` is "operations the scheduler rejected", whatever
-        the lane and whatever the policy then does about it."""
+        the lane and whatever the policy then does about it (open-loop
+        arrivals take the staged lane)."""
         txns = _workload(5, num_txns=40)
+        arrivals = {t.txn_id: t.txn_id for t in txns} if open_loop else None
         with TransactionService(k=2, retry_policy=policy, **lane) as service:
             service.submit_programs(txns)
-            service.run(seed=5)
+            service.run(seed=5, arrivals=arrivals)
             rejected = sum(
                 shard["rejected"]
                 for shard in service.stage_snapshot()["shards"]
@@ -334,31 +315,15 @@ class TestRetryPolicies:
 class TestAdmissionQueue:
     def test_plain_detection(self):
         assert AdmissionQueue().is_plain
-        assert not AdmissionQueue(capacity=4).is_plain
-        assert not AdmissionQueue(batch_size=2).is_plain
         assert not AdmissionQueue(retry_policy="capped-backoff").is_plain
+        queue = AdmissionQueue()
+        queue.begin_open_loop([(1, 2, 0)])
+        assert not queue.is_plain
 
     def test_backing_list_guard(self):
-        queue = AdmissionQueue(batch_size=2)
+        queue = AdmissionQueue(retry_policy="capped-backoff")
         with pytest.raises(RuntimeError):
             queue.backing_list()
-
-    def test_batched_release_order_preserved(self):
-        queue = AdmissionQueue(batch_size=2)
-        queue.begin([1, 2, 3, 4, 5])
-        assert [queue.pop() for _ in range(5)] == [1, 2, 3, 4, 5]
-        assert queue.pop() is None
-        assert queue.snapshot()["batches"] == 3
-
-    def test_capacity_counts_waits(self):
-        queue = AdmissionQueue(capacity=2)
-        queue.begin([1, 2, 3, 4])
-        drained = []
-        while (txn := queue.pop()) is not None:
-            drained.append(txn)
-        assert drained == [1, 2, 3, 4]
-        assert queue.snapshot()["waits"] >= 1
-        assert queue.snapshot()["max_queue_depth"] <= 2
 
     def test_delayed_retry_matures_in_simulated_time(self):
         queue = AdmissionQueue(retry_policy=CappedBackoff(base=2))
@@ -379,12 +344,6 @@ class TestAdmissionQueue:
         queue.requeue(7, count=1, attempt=1)
         assert queue.pop() == 7  # clock jumps, no livelock
         assert queue.pop() is None
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            AdmissionQueue(capacity=0)
-        with pytest.raises(ValueError):
-            AdmissionQueue(batch_size=0)
 
 
 class TestSessions:
@@ -447,7 +406,7 @@ class TestSessions:
 
     def test_stage_snapshot_shape(self):
         service = TransactionService(
-            k=2, n_shards=2, retry_policy="capped-backoff", batch_size=2
+            k=2, n_shards=2, retry_policy="capped-backoff"
         )
         service.submit_programs(_workload(1))
         service.run(seed=1)
@@ -468,10 +427,7 @@ class TestStagedLaneCorrectness:
         counted as re-executed work."""
         txns = _workload(seed)
         report = PipelineExecutor(
-            MTkScheduler(2),
-            retry_policy="capped-backoff",
-            batch_size=3,
-            queue_capacity=10,
+            MTkScheduler(2), retry_policy="capped-backoff"
         ).execute(txns, seed=seed)
         assert len(report.committed_ops) == (
             report.ops_executed - report.ops_reexecuted
@@ -485,19 +441,17 @@ class TestStagedLaneCorrectness:
             MTkScheduler(3, partial_rollback=True),
             rollback="partial",
             retry_policy="capped-backoff",
-            batch_size=4,
         ).execute(txns, seed=seed)
         assert report.is_serializable()
 
     def test_stage_metrics_reach_registry(self):
         executor = PipelineExecutor(
-            MTkScheduler(2), retry_policy="capped-backoff", batch_size=2
+            MTkScheduler(2), retry_policy="capped-backoff"
         )
         executor.execute(_workload(8), seed=8)
         stats = executor.stats
         snapshot = executor.stage_snapshot()["admission"]
         assert stats["retries_delayed"] == snapshot["delayed_retries"]
-        assert stats["admission_waits"] == snapshot["waits"]
         assert executor.metrics.gauge("queue_depth_max").value == float(
             snapshot["max_queue_depth"]
         )

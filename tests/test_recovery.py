@@ -806,6 +806,48 @@ class TestScriptedFaults:
         assert plan.pending() == 0
         assert ipc["node_restarts"] == 1
 
+    def test_a_new_plane_does_not_replay_a_stale_state_dir(
+        self, monkeypatch, tmp_path
+    ):
+        """A plane built over a state dir that still holds an earlier
+        run's node logs starts its run with ``begin``, which discards
+        those logs: no engine work may happen before the first window,
+        and the run equals the first one."""
+        from repro.engine.pipeline.parallel import _WorkerHost
+
+        txns, log = make_workload(1)
+        calls = []
+        handle = _WorkerHost.handle
+
+        def counting(host, message):
+            calls.append(1)
+            return handle(host, message)
+
+        before_first_window = []
+        run_window = RecoverableShardSet.run_window
+
+        def first_window(plane, *args, **kwargs):
+            if not before_first_window:
+                before_first_window.append(len(calls))
+            return run_window(plane, *args, **kwargs)
+
+        monkeypatch.setattr(_WorkerHost, "handle", counting)
+        monkeypatch.setattr(RecoverableShardSet, "run_window", first_window)
+        reports = []
+        for _run in range(2):
+            calls.clear()
+            before_first_window.clear()
+            service = TransactionService(
+                k=2, n_shards=4, parallel=2, window=4,
+                transport="loopback", state_dir=str(tmp_path),
+            )
+            with service:
+                service.submit_programs(txns)
+                reports.append(report_tuple(service.run(schedule=log)))
+            assert before_first_window == [0]
+            assert calls
+        assert reports[0] == reports[1]
+
     def test_torn_wal_presumes_abort_and_retries(self):
         plan = FaultPlan([Fault("torn-wal", 0)])
         _got, snap = self.check_plan(plan)
